@@ -4,8 +4,8 @@
 
 use abg::experiments::{open_system_sweep, OpenSystemConfig};
 use abg::queue::{
-    run_open_hierarchical_with_threads, run_open_sharded_with_threads, run_open_system,
-    HierOpenConfig, OpenConfig, SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, run_open_system, HierOpenConfig, OpenConfig,
+    SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, GroupPolicy, RequestCalculator};
@@ -132,63 +132,14 @@ fn bench_open_event_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sharded engine across shard counts on one worker, at the
-/// backlog-dominated load of the `open_event` regime. Deep width-2 jobs
-/// (T₁ = 2 × 200 000 = 400 000 steps) keep even a 16-processor shard at
-/// 8 effective servers, so every shard stays in the satisfied regime
-/// where frozen windows form. Simulated time committed per iteration
-/// *grows* with the shard count (every decimated shard runs its own
-/// full horizon) while iteration wall-clock stays roughly flat beyond
-/// `G = 2` — each shard's event loop prices a fraction of the
-/// population, paying back the per-shard arrival replay and trend-check
-/// bookkeeping; the `open_sharded` gated kernel tracks the resulting
-/// steps/s ratio against `open_event`.
-fn bench_open_sharded(c: &mut Criterion) {
-    let mut g = c.benchmark_group("open_sharded");
-    g.sample_size(20);
-
-    let job = Arc::new(PhasedJob::constant(2, 200_000));
-    let mut open = driver_config(0.85, 60);
-    open.processors = 128;
-    open.arrivals = ArrivalProcess::Poisson {
-        mean_gap: mean_gap_for_utilization(0.85, 128, 400_000.0),
-    };
-    for shards in [1u32, 2, 4, 8] {
-        let cfg = ShardedOpenConfig {
-            open: open.clone(),
-            shards,
-            routing: ShardRouting::RoundRobin,
-        };
-        let job = Arc::clone(&job);
-        g.bench_function(format!("shards_{shards}"), |b| {
-            b.iter(|| {
-                black_box(run_open_sharded_with_threads(
-                    black_box(&cfg),
-                    DynamicEquiPartition::new,
-                    |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
-                        if let Some(mut ex) = recycled {
-                            if ex.try_reset() {
-                                return ex;
-                            }
-                        }
-                        Box::new(PipelinedExecutor::new(Arc::clone(&job)))
-                    },
-                    || Box::new(AControl::new(0.2)) as Box<dyn RequestCalculator + Send>,
-                    1,
-                ))
-            })
-        });
-    }
-
-    g.finish();
-}
-
 /// The hierarchical top level over four groups, static vs the
 /// desire-proportional feedback allocator, at a uniform and a 4:1
-/// skewed arrival split. Same deep width-2 jobs and backlog-dominated
-/// load as `open_sharded`, so the static/uniform cell prices exactly
-/// the sharded engine plus the epoch-slicing overhead (desires are
-/// folded every 64 quanta but no group ever resizes); the feedback
+/// skewed arrival split. Deep width-2 jobs (T₁ = 2 × 200 000 steps)
+/// keep even a 32-processor group in the satisfied regime where frozen
+/// windows form, so the static/uniform cell prices the fixed partition
+/// plus the epoch-slicing overhead (desires are folded every 64 quanta
+/// but no group ever resizes; the gated `open_sharded` kernel runs the
+/// same partition as one unbounded epoch); the feedback
 /// cells add the allocator-rebuild cost on every capacity move. Under
 /// skew the static partition's hot group carries most of the
 /// population, so the feedback rows can be *faster* per unit of
@@ -245,7 +196,6 @@ criterion_group!(
     benches,
     bench_open_system,
     bench_open_event_kernel,
-    bench_open_sharded,
     bench_open_hier
 );
 criterion_main!(benches);

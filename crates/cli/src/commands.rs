@@ -8,6 +8,7 @@ use abg::experiments::{
     SchedulerOpenPoint, SingleJobSweepConfig, StealingConfig, TransientConfig,
 };
 use abg::report::{f3, mark, Chart, Table};
+use abg_control::GroupPolicy;
 use abg_sched::JobExecutor as _;
 
 /// Dispatches a subcommand.
@@ -658,8 +659,8 @@ fn baseline_steps_per_sec(json: &str, kernel: &str) -> Option<f64> {
 /// macro-stepping chain, the wide-frontier bulk paths (tree and
 /// bundle), the event-driven open-system driver at moderate load
 /// (`open_system`) and in its high-load macro-stepping regime
-/// (`open_event`), the sharded open-system engine whose aggregate
-/// committed quanta price the per-shard population win
+/// (`open_event`), a fixed partition into processor groups whose
+/// aggregate committed quanta price the per-group population win
 /// (`open_sharded`), the hierarchical two-level driver whose epoch
 /// barriers and desire feedback ride on the same decomposition
 /// (`open_hier`), the completion-heavy churn kernel that prices the
@@ -840,8 +841,8 @@ fn open_json(mode: &str, cfg: &OpenSystemConfig, rows: &[OpenSystemRow]) -> Stri
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     s.push_str(&format!(
-        "  \"processors\": {}, \"quantum_len\": {}, \"shards\": {},\n",
-        cfg.processors, cfg.quantum_len, cfg.shards
+        "  \"processors\": {}, \"quantum_len\": {},\n",
+        cfg.processors, cfg.quantum_len
     ));
     s.push_str(&format!(
         "  \"groups\": {}, \"group_alloc\": \"{}\", \"realloc_epoch\": {},\n",
@@ -883,7 +884,17 @@ fn open(opts: &Options) -> Result<(), String> {
         cfg.rhos = vec![rho];
     }
     if let Some(shards) = opts.shards {
-        cfg.shards = shards;
+        if opts.groups.is_some() || opts.group_alloc.is_some() || opts.realloc_epoch.is_some() {
+            return Err(
+                "--shards excludes --groups, --group-alloc and --realloc-epoch (it sets all three)"
+                    .into(),
+            );
+        }
+        // A fixed partition: the static top level run as one unbounded
+        // epoch.
+        cfg.groups = shards;
+        cfg.group_alloc = GroupPolicy::Static;
+        cfg.realloc_epoch = u64::MAX;
     }
     if let Some(groups) = opts.groups {
         cfg.groups = groups;
@@ -943,17 +954,21 @@ fn open(opts: &Options) -> Result<(), String> {
         opts,
     );
     if !opts.csv {
-        let sharding = if cfg.groups > 1 {
+        let sharding = if cfg.groups <= 1 {
+            String::new()
+        } else if cfg.realloc_epoch == u64::MAX {
+            format!(
+                " across {} groups ({} partition)",
+                cfg.groups,
+                cfg.group_alloc.name()
+            )
+        } else {
             format!(
                 " across {} groups ({} reallocation every {} quanta)",
                 cfg.groups,
                 cfg.group_alloc.name(),
                 cfg.realloc_epoch
             )
-        } else if cfg.shards > 1 {
-            format!(" across {} shards", cfg.shards)
-        } else {
-            String::new()
         };
         println!(
             "E[T1] = {:.1} steps/job on P = {}{sharding}; unstable points tripped saturation \
@@ -1065,10 +1080,12 @@ mod tests {
         assert!(err.contains("did not run open_system"), "{err}");
     }
 
-    /// `open` with an impossible shard count surfaces the typed
+    /// `open --shards G` is an alias for a static `G`-group partition,
+    /// so an impossible shard count surfaces the typed group
     /// [`abg_queue::ConfigError`] message through the CLI's own error
     /// path (the validation runs before any simulation, so these fail
-    /// fast).
+    /// fast), and combining the alias with the group flags it sets is
+    /// rejected.
     #[test]
     fn open_rejects_bad_shard_counts_with_the_typed_messages() {
         let base = Options {
@@ -1083,20 +1100,45 @@ mod tests {
         .unwrap_err();
         assert_eq!(
             err,
-            "invalid open-system configuration: need at least one shard"
+            "invalid open-system configuration: need at least one processor group"
         );
-        // The smoke machine has 16 processors; 17 shards cannot all own
-        // one.
+        // The smoke machine has 16 processors; 17 groups cannot all
+        // hold the floor of one processor.
         let err = open(&Options {
             shards: Some(17),
-            ..base
+            ..base.clone()
         })
         .unwrap_err();
         assert_eq!(
             err,
-            "invalid open-system configuration: need at least one processor per shard \
-             (17 shards > 16 processors)"
+            "invalid open-system configuration: per-group floor must be between 1 and P/G \
+             (1 with 16 processors over 17 groups)"
         );
+        let conflicts = [
+            Options {
+                groups: Some(4),
+                ..base.clone()
+            },
+            Options {
+                group_alloc: Some("desire".into()),
+                ..base.clone()
+            },
+            Options {
+                realloc_epoch: Some(8),
+                ..base.clone()
+            },
+        ];
+        for conflict in conflicts {
+            let err = open(&Options {
+                shards: Some(4),
+                ..conflict
+            })
+            .unwrap_err();
+            assert_eq!(
+                err,
+                "--shards excludes --groups, --group-alloc and --realloc-epoch (it sets all three)"
+            );
+        }
     }
 
     /// `open` with impossible hierarchical knobs surfaces the typed
@@ -1181,9 +1223,35 @@ mod tests {
         );
         let err = open(&Options {
             dag_file: Some("/no/such/file.dag".into()),
-            ..base
+            ..base.clone()
         })
         .unwrap_err();
         assert!(err.starts_with("dag file i/o error:"), "{err}");
+        // Hostile files are refused with their typed messages instead of
+        // aborting on a huge allocation or saturating E[T1].
+        let dir = std::env::temp_dir().join("abg_cli_hostile_dag_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, text, message) in [
+            (
+                "huge.dag",
+                "tasks 99999999999999\n",
+                "dag file error on line 1: 99999999999999 tasks exceed the u32 task-id space \
+                 (at most 4294967296)",
+            ),
+            (
+                "heavy.dag",
+                "tasks 1\nweight 0 1e308\n",
+                "dag file rejected: weighted work overflows u64 steps at task t0",
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let err = open(&Options {
+                dag_file: Some(path.to_str().unwrap().into()),
+                ..base.clone()
+            })
+            .unwrap_err();
+            assert_eq!(err, message);
+        }
     }
 }

@@ -18,15 +18,14 @@ pub struct Options {
     pub seed: Option<u64>,
     /// Restrict the `open` sweep to a single offered utilization.
     pub rho: Option<f64>,
-    /// Processor groups for the sharded open-system engine (the `open`
-    /// subcommand). Parsed as any integer; the experiment config's
-    /// typed validation rejects impossible counts (zero, or more shards
-    /// than processors) with its own error message.
+    /// Fixed-partition alias (the `open` subcommand): `--shards G` sets
+    /// `G` groups under the static top level with no reallocation.
+    /// Parsed as any integer; the typed group validation rejects
+    /// impossible counts with its own error message.
     pub shards: Option<u32>,
     /// Processor groups for the hierarchical two-level open-system
-    /// driver (the `open` subcommand). Like `--shards`, any integer
-    /// parses; the typed config validation owns the rejection of
-    /// impossible counts.
+    /// driver (the `open` subcommand). Any integer parses; the typed
+    /// config validation owns the rejection of impossible counts.
     pub groups: Option<u32>,
     /// Top-level reallocation policy name (the `open` subcommand);
     /// resolved against [`abg_control::GroupPolicy`] when the command
@@ -93,10 +92,11 @@ flags:
                        more than 30% below the baseline JSON at PATH
   --seed N             override the experiment seed
   --rho R              open: sweep only the given offered utilization
-  --shards G           open: split the machine into G independent processor
-                       groups (sharded engine; 1 = the unsharded driver)
+  --shards G           open: fixed partition into G processor groups — the
+                       static top level with no reallocation (excludes
+                       --groups, --group-alloc and --realloc-epoch)
   --groups G           open: run the hierarchical two-level driver over G
-                       processor groups (1 = no top level; overrides --shards)
+                       processor groups (1 = no top level)
   --group-alloc P      open: top-level reallocation policy — static, desire
                        or conservative (default static)
   --realloc-epoch Q    open: reallocate group capacities every Q quanta

@@ -84,8 +84,8 @@ proptest! {
     }
 
     /// StaticEqui is the identity on whatever partition it is handed —
-    /// the property behind its bit-compatibility with the sharded
-    /// engine's fixed groups.
+    /// the property that makes its outcome independent of the epoch
+    /// length.
     #[test]
     fn static_equi_is_the_identity(
         (processors, groups, _floor) in machine(),

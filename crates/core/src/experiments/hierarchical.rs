@@ -1,7 +1,7 @@
 //! The hierarchical skew sweep: top-level reallocation policies
 //! against increasingly skewed arrival routing.
 //!
-//! The sharded engine's fixed equi-partition is optimal when arrivals
+//! A fixed equi-partition of the machine is optimal when arrivals
 //! spread evenly across the processor groups — and pathological when
 //! they do not: a group receiving `h` of every `h + G - 1` arrivals
 //! sees its *local* offered load inflated by `h·G / (h + G - 1)` while
@@ -10,10 +10,9 @@
 //! arrival sequence and job population under every configured
 //! [`GroupPolicy`] and reports mean response time, median slowdown,
 //! the hot group's final capacity, and the spread of per-group served
-//! utilization. The static policy is the fixed-partition baseline
-//! (bit-identical to [`abg_queue::run_open_sharded`]); the feedback
-//! policies should hold their response time roughly flat as the skew
-//! grows, with the hot group's capacity following its load.
+//! utilization. The static policy is the fixed-partition baseline; the
+//! feedback policies should hold their response time roughly flat as
+//! the skew grows, with the hot group's capacity following its load.
 
 use super::{parallel_map, task_seed};
 use abg_alloc::DynamicEquiPartition;

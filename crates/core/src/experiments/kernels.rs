@@ -98,10 +98,10 @@ pub struct KernelBenchConfig {
     /// that a double-digit population is live in every window, while
     /// staying in DEQ's satisfied regime where windows can freeze.
     pub open_event_rho: f64,
-    /// Processor groups of the `open_sharded` kernel. Each shard is an
+    /// Processor groups of the `open_sharded` kernel. Each group is an
     /// independent decimated open system committing its own horizon, so
-    /// the kernel's aggregate simulated steps scale with the shard
-    /// count while the per-event cost scales with the per-shard
+    /// the kernel's aggregate simulated steps scale with the group
+    /// count while the per-event cost scales with the per-group
     /// population.
     pub open_shards: u32,
     /// Jobs pushed through the `open_churn` kernel — short jobs on a
@@ -599,19 +599,21 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     event_res.bytes_per_live_job = boxed_footprint;
     results.push(event_res);
 
-    // Composite: the sharded open-system engine at the same offered
-    // load as `open_event`, the machine split into `open_shards`
-    // independent processor groups. Every decimated shard commits its
-    // own horizon, so steps (aggregate committed quanta × quantum
-    // length) scale with the shard count while each shard's event loop
-    // prices a population `open_shards`× smaller — the algorithmic win
-    // this kernel gates, so the pool is pinned to one worker and the
-    // counters stay independent of the runner's core count. The jobs
-    // are width-2 (same `T1` through 4× the levels): a 1/`open_shards`
-    // slice of the machine still offers many effective servers, keeping
-    // every shard in the satisfied regime where windows freeze.
+    // Composite: a fixed partition at the same offered load as
+    // `open_event`, the machine split into `open_shards` independent
+    // processor groups — the static top level run as one unbounded
+    // epoch, so no barrier ever slices a group's loop. Every decimated
+    // group commits its own horizon, so steps (aggregate committed
+    // quanta × quantum length) scale with the group count while each
+    // group's event loop prices a population `open_shards`× smaller —
+    // the algorithmic win this kernel gates, so the pool is pinned to
+    // one worker and the counters stay independent of the runner's
+    // core count. The jobs are width-2 (same `T1` through 4× the
+    // levels): a 1/`open_shards` slice of the machine still offers many
+    // effective servers, keeping every group in the satisfied regime
+    // where windows freeze.
     let sharded_job = Arc::new(PhasedJob::constant(2, 4 * cfg.open_levels));
-    let sharded_cfg = abg_queue::ShardedOpenConfig {
+    let sharded_cfg = abg_queue::HierOpenConfig {
         open: abg_queue::OpenConfig {
             arrivals: abg_workload::ArrivalProcess::Poisson {
                 mean_gap: abg_workload::mean_gap_for_utilization(
@@ -622,11 +624,13 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
             },
             ..open_cfg.clone()
         },
-        shards: cfg.open_shards,
+        groups: cfg.open_shards,
         routing: abg_queue::ShardRouting::RoundRobin,
+        realloc_epoch: u64::MAX,
+        group_floor: 1,
     };
     let mut sharded_res = measure("open_sharded", ms, || {
-        let out = abg_queue::run_open_sharded_with_threads(
+        let out = abg_queue::run_open_hierarchical_with_threads(
             &sharded_cfg,
             DynamicEquiPartition::new,
             |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
@@ -638,6 +642,7 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
                 Box::new(PipelinedExecutor::new(Arc::clone(&sharded_job)))
             },
             || Box::new(AControl::new(0.2)),
+            abg_control::StaticEqui,
             1,
         );
         let stats = out.steady().expect("kernel rho must be stable");
@@ -651,7 +656,7 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     // Composite: the hierarchical two-level driver over the same
     // decomposition as `open_sharded`, but with the desire-proportional
     // top level reallocating group capacities every 64 quanta. This
-    // prices what the top level adds to the sharded engine: the epoch
+    // prices what the top level adds to the fixed partition: the epoch
     // barriers slicing every group's frozen windows, the per-epoch
     // desire folds, and the allocator-rebuild path on resized groups
     // (under round-robin routing the partition quickly settles, so
@@ -659,11 +664,8 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     // one-worker pool and counters as `open_sharded` so the two gate
     // comparable work.
     let hier_cfg = abg_queue::HierOpenConfig {
-        open: sharded_cfg.open.clone(),
-        groups: cfg.open_shards,
-        routing: abg_queue::ShardRouting::RoundRobin,
         realloc_epoch: 64,
-        group_floor: 1,
+        ..sharded_cfg.clone()
     };
     let mut hier_res = measure("open_hier", ms, || {
         let out = abg_queue::run_open_hierarchical_with_threads(

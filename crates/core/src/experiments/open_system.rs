@@ -16,8 +16,8 @@ use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, AGreedy, GroupPolicy, RequestCalculator};
 use abg_dag::ExplicitDag;
 use abg_queue::{
-    run_open_hierarchical, run_open_sharded, HierOpenConfig, OpenConfig, OpenOutcome,
-    SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical, run_open_system, HierOpenConfig, OpenConfig, OpenOutcome,
+    SaturationConfig, ShardRouting,
 };
 use abg_sched::{DagExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor};
 use abg_workload::{
@@ -94,25 +94,19 @@ pub struct OpenSystemConfig {
     pub work_samples: u32,
     /// Saturation-detector tuning.
     pub saturation: SaturationConfig,
-    /// Processor groups for the sharded engine. `1` (the presets'
-    /// value) runs the unsharded event-driven driver bit-for-bit;
-    /// larger counts split the machine into independent per-shard
-    /// cores with round-robin arrival routing (see
-    /// [`abg_queue::shard`]).
-    pub shards: u32,
     /// Processor groups under the hierarchical two-level driver. `1`
-    /// (the presets' value) leaves the top level out entirely and the
-    /// sweep runs the sharded/unsharded path selected by `shards`;
-    /// larger counts route every point through
-    /// [`abg_queue::run_open_hierarchical`] with `groups` groups
-    /// (ignoring `shards`), reallocated by `group_alloc` every
-    /// `realloc_epoch` quanta.
+    /// (the presets' value) leaves the top level out entirely and runs
+    /// the unpartitioned event-driven driver; larger counts route every
+    /// point through [`abg_queue::run_open_hierarchical`] with `groups`
+    /// groups under round-robin arrival routing, reallocated by
+    /// `group_alloc` every `realloc_epoch` quanta.
     pub groups: u32,
     /// Top-level reallocation policy (only consulted when
-    /// `groups > 1`). [`GroupPolicy::Static`] never resizes anyone and
-    /// reproduces the fixed sharded partition bit-for-bit.
+    /// `groups > 1`). [`GroupPolicy::Static`] never resizes anyone: a
+    /// fixed equi-partition.
     pub group_alloc: GroupPolicy,
     /// Reallocation epoch in quanta (only consulted when `groups > 1`).
+    /// `u64::MAX` runs the whole point as one epoch, with no barriers.
     pub realloc_epoch: u64,
     /// Per-group capacity floor the top level must honor (only
     /// consulted when `groups > 1`).
@@ -147,7 +141,6 @@ impl OpenSystemConfig {
             max_quanta: 20_000_000,
             work_samples: 4096,
             saturation: SaturationConfig::default(),
-            shards: 1,
             groups: 1,
             group_alloc: GroupPolicy::Static,
             realloc_epoch: 50,
@@ -175,7 +168,6 @@ impl OpenSystemConfig {
             max_quanta: 500_000,
             work_samples: 512,
             saturation: SaturationConfig::default(),
-            shards: 1,
             groups: 1,
             group_alloc: GroupPolicy::Static,
             realloc_epoch: 50,
@@ -204,29 +196,29 @@ impl OpenSystemConfig {
         }
     }
 
-    /// Validates the per-point engine configuration this sweep would
-    /// run — the hierarchical [`HierOpenConfig`] when `groups > 1`,
-    /// the [`ShardedOpenConfig`] otherwise — so front ends can reject
-    /// an inconsistent measurement setup (bad shard/group counts, a
-    /// zero reallocation epoch, an ungrantable floor) with a typed
-    /// error up front instead of panicking mid-sweep.
-    pub fn validate(&self) -> Result<(), abg_queue::ConfigError> {
-        if self.groups != 1 {
-            return HierOpenConfig {
-                open: self.open_config(1.0, self.seed),
-                groups: self.groups,
-                routing: ShardRouting::RoundRobin,
-                realloc_epoch: self.realloc_epoch,
-                group_floor: self.group_floor,
-            }
-            .validate();
-        }
-        ShardedOpenConfig {
-            open: self.open_config(1.0, self.seed),
-            shards: self.shards,
+    /// The per-point hierarchical configuration.
+    fn hier_config(&self, open: OpenConfig) -> HierOpenConfig {
+        HierOpenConfig {
+            open,
+            groups: self.groups,
             routing: ShardRouting::RoundRobin,
+            realloc_epoch: self.realloc_epoch,
+            group_floor: self.group_floor,
         }
-        .validate()
+    }
+
+    /// Validates the per-point engine configuration this sweep would
+    /// run — the hierarchical [`HierOpenConfig`] when `groups != 1`,
+    /// the plain [`OpenConfig`] otherwise — so front ends can reject
+    /// an inconsistent measurement setup (a bad group count, a zero
+    /// reallocation epoch, an ungrantable floor) with a typed error up
+    /// front instead of panicking mid-sweep.
+    pub fn validate(&self) -> Result<(), abg_queue::ConfigError> {
+        let open = self.open_config(1.0, self.seed);
+        if self.groups != 1 {
+            return self.hier_config(open).validate();
+        }
+        open.validate()
     }
 }
 
@@ -386,69 +378,32 @@ where
     // Per-ρ seed shared by BOTH schedulers: identical rng, identical
     // arrival times, identical job structures — a paired comparison.
     let open = cfg.open_config(mean_gap, task_seed(cfg.seed, index, 1));
-    // The engine pools honor `ABG_THREADS` like the sweep's own
-    // `parallel_map`; the outcome is thread-count invariant either way.
-    // `groups > 1` routes through the hierarchical two-level driver
-    // (with `shards` ignored: the groups ARE the partition); otherwise
-    // the sharded engine runs, and `shards = 1` delegates straight to
-    // `run_open_system`.
-    if cfg.groups > 1 {
-        let hier = HierOpenConfig {
-            open,
-            groups: cfg.groups,
-            routing: ShardRouting::RoundRobin,
-            realloc_epoch: cfg.realloc_epoch,
-            group_floor: cfg.group_floor,
-        };
-        return match which {
-            Scheduler::Abg => {
-                let rate = cfg.rate;
-                run_open_hierarchical(
-                    &hier,
-                    DynamicEquiPartition::new,
-                    make_executor,
-                    move || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(rate)) },
-                    cfg.group_alloc.build(),
-                )
-            }
-            Scheduler::AGreedy => {
-                let (rho, delta) = (cfg.responsiveness, cfg.utilization);
-                run_open_hierarchical(
-                    &hier,
-                    DynamicEquiPartition::new,
-                    make_executor,
-                    move || -> Box<dyn RequestCalculator + Send> {
-                        Box::new(AGreedy::new(rho, delta))
-                    },
-                    cfg.group_alloc.build(),
-                )
-            }
-        };
-    }
-    let sharded = ShardedOpenConfig {
-        open,
-        shards: cfg.shards,
-        routing: ShardRouting::RoundRobin,
+    let (rate, rho, delta) = (cfg.rate, cfg.responsiveness, cfg.utilization);
+    let make_calculator = move || -> Box<dyn RequestCalculator + Send> {
+        match which {
+            Scheduler::Abg => Box::new(AControl::new(rate)),
+            Scheduler::AGreedy => Box::new(AGreedy::new(rho, delta)),
+        }
     };
-    match which {
-        Scheduler::Abg => {
-            let rate = cfg.rate;
-            run_open_sharded(
-                &sharded,
-                DynamicEquiPartition::new,
-                make_executor,
-                move || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(rate)) },
-            )
-        }
-        Scheduler::AGreedy => {
-            let (rho, delta) = (cfg.responsiveness, cfg.utilization);
-            run_open_sharded(
-                &sharded,
-                DynamicEquiPartition::new,
-                make_executor,
-                move || -> Box<dyn RequestCalculator + Send> { Box::new(AGreedy::new(rho, delta)) },
-            )
-        }
+    // `groups > 1` routes through the hierarchical two-level driver,
+    // whose group pool honors `ABG_THREADS` like the sweep's own
+    // `parallel_map` (the outcome is thread-count invariant either
+    // way); `groups = 1` runs the unpartitioned driver.
+    if cfg.groups > 1 {
+        run_open_hierarchical(
+            &cfg.hier_config(open),
+            DynamicEquiPartition::new,
+            make_executor,
+            make_calculator,
+            cfg.group_alloc.build(),
+        )
+    } else {
+        run_open_system(
+            &open,
+            DynamicEquiPartition::new(cfg.processors),
+            make_executor,
+            make_calculator,
+        )
     }
 }
 
@@ -551,40 +506,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_is_steady_and_deterministic() {
-        // The sharded engine behind the same sweep front end: stable
-        // below saturation, flagged unstable above it, and bit-level
-        // reproducible across repeat runs. (The overload point sits at
-        // ρ = 2 here: decimated smoke-scale shards see a quarter of the
-        // arrivals each, so the queue-growth trend needs a steeper ramp
-        // than the aggregate smoke sweep's 1.2 to trip before the tiny
-        // measurement target drains.)
-        let mut cfg = OpenSystemConfig::smoke();
-        cfg.shards = 4;
-        cfg.rhos = vec![0.4, 2.0];
-        let rows = open_system_sweep(&cfg);
+    fn static_partition_sweep_is_steady_and_matches_every_epoch_length() {
+        // The fixed partition behind the sweep front end: groups = 4
+        // under the static top level, run as one unbounded epoch, is
+        // stable below saturation, flagged unstable above it, and
+        // bit-identical to the same partition sliced into epochs.
+        // (The overload point sits at ρ = 2 here: decimated smoke-scale
+        // groups see a quarter of the arrivals each, so the queue-growth
+        // trend needs a steeper ramp than the aggregate smoke sweep's
+        // 1.2 to trip before the tiny measurement target drains.)
+        let mut unbounded = OpenSystemConfig::smoke();
+        unbounded.groups = 4;
+        unbounded.group_alloc = GroupPolicy::Static;
+        unbounded.realloc_epoch = u64::MAX;
+        unbounded.rhos = vec![0.4, 2.0];
+        let rows = open_system_sweep(&unbounded);
         assert!(rows[0].abg.stable && rows[0].agreedy.stable);
         assert!(rows[0].abg.slowdown_p50 >= 1.0);
         assert!(!rows[1].abg.stable && !rows[1].agreedy.stable);
+        let mut epochs = unbounded.clone();
+        epochs.realloc_epoch = 50;
         let a = crate::experiments::open_fingerprint(&rows);
-        let b = crate::experiments::open_fingerprint(&open_system_sweep(&cfg));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn hierarchical_static_sweep_matches_the_sharded_sweep() {
-        // The compatibility anchor at the sweep level: groups = 4 with
-        // the never-resizing static policy must reproduce shards = 4
-        // bit-for-bit — same routing, same per-group loops, no resize.
-        let mut sharded = OpenSystemConfig::smoke();
-        sharded.shards = 4;
-        sharded.rhos = vec![0.4, 2.0];
-        let mut hier = sharded.clone();
-        hier.shards = 1;
-        hier.groups = 4;
-        hier.group_alloc = GroupPolicy::Static;
-        let a = crate::experiments::open_fingerprint(&open_system_sweep(&sharded));
-        let b = crate::experiments::open_fingerprint(&open_system_sweep(&hier));
+        let b = crate::experiments::open_fingerprint(&open_system_sweep(&epochs));
         assert_eq!(a, b);
     }
 
@@ -711,22 +654,10 @@ mod tests {
         cfg.group_floor = 1;
         assert_eq!(cfg.validate(), Ok(()));
         // With the top level out (groups = 1) the group knobs are
-        // inert and the shard path is validated instead.
+        // inert and only the aggregate config is validated.
         cfg.groups = 1;
         cfg.group_floor = 0;
         assert_eq!(cfg.validate(), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_bad_shard_counts() {
-        let mut cfg = OpenSystemConfig::smoke();
-        cfg.shards = 0;
-        assert_eq!(cfg.validate(), Err(abg_queue::ConfigError::NoShards));
-        cfg.shards = cfg.processors + 1;
-        assert!(matches!(
-            cfg.validate(),
-            Err(abg_queue::ConfigError::TooManyShards { .. })
-        ));
     }
 
     #[test]

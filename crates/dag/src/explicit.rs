@@ -48,6 +48,11 @@ pub enum DagError {
     /// A task weight is not a finite positive number (NaN, infinite,
     /// zero or negative weights would poison the span accounting).
     InvalidWeight(TaskId),
+    /// The step cost of a task, or the weighted work summed over the
+    /// tasks up to it (in id order), does not fit in `u64` — the first
+    /// such task. Level and span sums never exceed the work, so this
+    /// guards every cost table.
+    CostOverflow(TaskId),
 }
 
 impl std::fmt::Display for DagError {
@@ -69,6 +74,9 @@ impl std::fmt::Display for DagError {
                     f,
                     "invalid weight for task {t}: must be finite and positive"
                 )
+            }
+            DagError::CostOverflow(t) => {
+                write!(f, "weighted work overflows u64 steps at task {t}")
             }
         }
     }
@@ -159,14 +167,28 @@ pub struct WeightProfile {
 impl WeightProfile {
     /// Computes the profile for `weights` over tasks whose levels are
     /// given by `level` (with `num_levels` levels total). Every weight
-    /// must be finite and strictly positive.
+    /// must be finite and strictly positive, and the total cost must
+    /// fit in `u64`.
     fn new(weights: Vec<f64>, level: &[Level], num_levels: usize) -> Result<Self, DagError> {
         debug_assert_eq!(weights.len(), level.len());
         let mut costs = Vec::with_capacity(weights.len());
+        let mut total_cost = 0u64;
         for (i, &w) in weights.iter().enumerate() {
-            validate_weight(TaskId(i as u32), w)?;
-            costs.push(w.ceil() as u64);
+            let t = TaskId(i as u32);
+            validate_weight(t, w)?;
+            // `as u64` saturates, so a ceiling of 2^64 or more must be
+            // caught before the cast (`u64::MAX as f64` rounds to 2^64).
+            let cost = w.ceil();
+            if cost >= u64::MAX as f64 {
+                return Err(DagError::CostOverflow(t));
+            }
+            let cost = cost as u64;
+            total_cost = total_cost
+                .checked_add(cost)
+                .ok_or(DagError::CostOverflow(t))?;
+            costs.push(cost);
         }
+        // Every level sum and the span are bounded by `total_cost`.
         let mut level_cost = vec![0u64; num_levels];
         let mut level_max_cost = vec![0u64; num_levels];
         for (i, &c) in costs.iter().enumerate() {
@@ -175,7 +197,6 @@ impl WeightProfile {
             level_max_cost[l] = level_max_cost[l].max(c);
         }
         let level_cost_recip = level_cost.iter().map(|&s| 1.0 / s as f64).collect();
-        let total_cost = costs.iter().sum();
         let span_cost = level_max_cost.iter().sum();
         Ok(WeightProfile {
             weights,
@@ -1171,6 +1192,41 @@ mod tests {
             b.set_weight(TaskId(9), 1.0).unwrap_err(),
             DagError::UnknownTask(TaskId(9))
         );
+    }
+
+    #[test]
+    fn unrepresentable_costs_rejected_with_the_typed_message() {
+        // One weight whose step cost does not fit in u64 (the cast
+        // would saturate to 2^64 - 1).
+        let mut b = DagBuilder::new();
+        let t0 = b.add_task();
+        let t1 = b.add_task();
+        b.add_edge(t0, t1).unwrap();
+        b.set_weight(t0, 1e308).unwrap();
+        let err = b.build().unwrap_err();
+        assert_eq!(err, DagError::CostOverflow(t0));
+        assert_eq!(
+            err.to_string(),
+            "weighted work overflows u64 steps at task t0"
+        );
+        // Two weights that fit one by one but overflow the work sum.
+        let mut b = DagBuilder::new();
+        let t0 = b.add_task();
+        let t1 = b.add_task();
+        b.add_edge(t0, t1).unwrap();
+        b.set_weight(t0, 1e19).unwrap();
+        b.set_weight(t1, 1e19).unwrap();
+        let err = b.build().unwrap_err();
+        assert_eq!(err, DagError::CostOverflow(t1));
+        assert_eq!(
+            err.to_string(),
+            "weighted work overflows u64 steps at task t1"
+        );
+        // The largest representable cost still loads.
+        let mut b = DagBuilder::new();
+        let t0 = b.add_task();
+        b.set_weight(t0, 1.8e19).unwrap();
+        assert_eq!(b.build().unwrap().work(), 1.8e19 as u64);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! shared quantum engine.
 //!
 //! Jobs arrive indefinitely from a stationary [`ArrivalProcess`]; each
-//! arrival is admitted into the generic [`QuantumCore`] (the same
-//! stepping core behind every closed driver in `abg-sim`, here with a
-//! caller-chosen [`Probe`]) and drained when it completes. The driver
-//! never materializes the job population: memory is proportional to the
-//! number of jobs *in the system*, so it can push millions of jobs
-//! through a run if the statistics call for it.
+//! arrival is admitted into the generic
+//! [`QuantumCore`](abg_sim::QuantumCore) (the same stepping core behind
+//! every closed driver in `abg-sim`, here with a caller-chosen
+//! [`Probe`]) and drained when it completes. The loop itself is the
+//! crate's one resumable event loop (see [`hier`](crate::hier)), fed
+//! from the shared-RNG arrival source and run as one unbounded epoch.
+//! The driver never materializes the job population: memory is
+//! proportional to the number of jobs *in the system*, so it can push
+//! millions of jobs through a run if the statistics call for it.
 //!
 //! Measurement protocol (see `EXPERIMENTS.md` for the methodology):
 //!
@@ -19,20 +22,21 @@
 //! 3. mean response time gets a batch-means confidence interval and
 //!    slowdowns (response over the job's solo lower bound
 //!    `max(T∞, T1/P)`) get nearest-rank percentiles;
-//! 4. a [`SaturationDetector`] watches the in-system job count and
-//!    aborts runs that will never reach steady state (ρ ≥ 1), reporting
-//!    them as [`OpenOutcome::Unstable`] instead of hanging.
+//! 4. a [`SaturationDetector`](crate::SaturationDetector) watches the
+//!    in-system job count and aborts runs that will never reach steady
+//!    state (ρ ≥ 1), reporting them as [`OpenOutcome::Unstable`]
+//!    instead of hanging.
 
-use crate::events::{frozen_window_bound, ArrivalCalendar};
-use crate::saturation::{SaturationConfig, SaturationDetector, SaturationReason};
-use crate::stats::{batch_means, percentiles, ConfidenceInterval, PercentileSummary};
+use crate::events::SharedRng;
+use crate::hier::{merge_reports, GroupSim};
+use crate::saturation::{SaturationConfig, SaturationReason};
+use crate::stats::{ConfidenceInterval, PercentileSummary};
 use abg_alloc::Allocator;
 use abg_control::RequestCalculator;
 use abg_sched::JobExecutor;
-use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
+use abg_sim::{NullProbe, Probe};
 use abg_workload::ArrivalProcess;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one open-system run.
@@ -81,17 +85,6 @@ pub enum ConfigError {
     },
     /// `max_quanta == 0`: no quanta budget to run under.
     NoQuantaBudget,
-    /// `shards == 0` in a sharded configuration: the engine needs at
-    /// least one processor group.
-    NoShards,
-    /// More shards than processors — some shard would get an empty
-    /// machine.
-    TooManyShards {
-        /// The configured shard count.
-        shards: u32,
-        /// The configured machine size.
-        processors: u32,
-    },
     /// `groups == 0` in a hierarchical configuration: the top-level
     /// allocator needs at least one processor group.
     ZeroGroups,
@@ -124,11 +117,6 @@ impl std::fmt::Display for ConfigError {
                 "need at least one observation per batch ({measured_jobs} jobs < {batches} batches)"
             ),
             ConfigError::NoQuantaBudget => write!(f, "need a positive quanta budget"),
-            ConfigError::NoShards => write!(f, "need at least one shard"),
-            ConfigError::TooManyShards { shards, processors } => write!(
-                f,
-                "need at least one processor per shard ({shards} shards > {processors} processors)"
-            ),
             ConfigError::ZeroGroups => write!(f, "need at least one processor group"),
             ConfigError::BadReallocEpoch => {
                 write!(f, "need a positive reallocation epoch")
@@ -188,16 +176,6 @@ impl OpenConfig {
     }
 }
 
-/// Completed work over machine capacity `P · horizon`, guarded so a run
-/// aborted before executing a single quantum (`horizon == 0`) reports a
-/// utilization of zero instead of `0/0 = NaN`.
-pub(crate) fn measured_utilization(completed_work: u64, processors: u32, horizon: u64) -> f64 {
-    if horizon == 0 {
-        return 0.0;
-    }
-    completed_work as f64 / (processors as f64 * horizon as f64)
-}
-
 /// Steady-state measurements of a completed run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SteadyStats {
@@ -217,8 +195,8 @@ pub struct SteadyStats {
     pub mean_jobs_in_system: f64,
     /// Peak in-system job count over executed quanta — the memory
     /// high-water mark of the run (the live-set storage scales with this
-    /// figure, not with total arrivals). Sharded and hierarchical runs
-    /// report the sum of the per-group peaks: an upper bound on the
+    /// figure, not with total arrivals). Hierarchical runs report the
+    /// sum of the per-group peaks: an upper bound on the
     /// aggregate footprint (the groups need not peak simultaneously).
     pub peak_jobs_in_system: u64,
     /// Completed work over machine capacity `P · horizon` — the
@@ -334,167 +312,20 @@ where
     P: Probe,
 {
     cfg.assert_valid();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut calendar = ArrivalCalendar::new(&cfg.arrivals);
-    let mut engine = QuantumCore::new(allocator, cfg.quantum_len, probe);
-    let mut detector = SaturationDetector::new(cfg.saturation);
-
-    let warmup = cfg.warmup_jobs;
-    let measured = cfg.measured_jobs;
-    // Measured samples keyed by arrival id (NaN = not yet completed);
-    // batch means runs over arrival order, the natural time order of
-    // the process.
-    let mut responses = vec![f64::NAN; measured as usize];
-    let mut slowdowns = vec![f64::NAN; measured as usize];
-    let mut outstanding = measured;
-
-    let mut arrivals = 0u64;
-    let mut next_arrival = calendar.next_arrival(&mut rng);
-    let mut completed_work = 0u64;
-    let mut done: Vec<CompletedJob> = Vec::new();
-    // Executors handed back by the engine when their jobs drained,
-    // offered to the factory one per admission (LIFO — the hottest
-    // buffers first). Bounded by the peak in-system job count.
-    let mut pool: Vec<Box<dyn JobExecutor + Send>> = Vec::new();
-
-    let outcome = 'run: loop {
-        // Admit everything due at (or before) the current boundary; the
-        // admission id is the arrival index.
-        while next_arrival <= engine.now() {
-            let executor = make_executor(&mut rng, pool.pop());
-            engine.admit(executor, make_calculator(), next_arrival);
-            arrivals += 1;
-            next_arrival = calendar.next_arrival(&mut rng);
-        }
-        if !engine.any_live() {
-            // Empty system: fast-forward to the boundary of the next
-            // arrival instead of stepping idle quanta.
-            engine.skip_idle_until(next_arrival);
-            continue;
-        }
-
-        done.clear();
-        engine.step_quantum_reclaiming(&mut done, &mut pool);
-        detector.record(engine.jobs_in_system());
-
-        for job in &done {
-            completed_work += job.work;
-            if job.id < warmup || job.id >= warmup + measured {
-                continue;
-            }
-            let slot = (job.id - warmup) as usize;
-            let response = job.response_time() as f64;
-            // Solo lower bound on response: the job cannot beat its
-            // span nor perfect speedup on the whole machine.
-            let lower = (job.span as f64).max(job.work as f64 / cfg.processors as f64);
-            responses[slot] = response;
-            slowdowns[slot] = response / lower.max(1.0);
-            outstanding -= 1;
-        }
-
-        if outstanding == 0 {
-            break steady_stats(
-                cfg,
-                &responses,
-                &slowdowns,
-                arrivals,
-                completed_work,
-                &engine,
-                &detector,
-            );
-        }
-
-        if let Some(reason) = saturation_trip(cfg, &engine, &detector) {
-            break unstable_report(reason, arrivals, measured - outstanding, &engine);
-        }
-
-        // Event-driven macro-stepping: between the real quantum just
-        // executed and the next driver-level event (arrival admission,
-        // trend evaluation, budget edge), jump the core across frozen
-        // quanta in bulk. The core declines whenever a completion or a
-        // request change could occur, so nothing observable is skipped.
-        while let Some(len) = engine.frozen_quantum_len() {
-            let bound = frozen_window_bound(
-                engine.now(),
-                len,
-                next_arrival,
-                detector.quanta_until_trend_check(),
-                engine.quanta(),
-                cfg.max_quanta,
-            );
-            let advanced = engine.advance_frozen(bound);
-            if advanced == 0 {
-                break;
-            }
-            detector.record_n(engine.jobs_in_system(), advanced);
-            if let Some(reason) = saturation_trip(cfg, &engine, &detector) {
-                break 'run unstable_report(reason, arrivals, measured - outstanding, &engine);
-            }
-        }
-    };
-    (outcome, engine.into_probe())
-}
-
-/// The steady outcome, assembled from the measurement buffers once the
-/// last measured job completed.
-#[allow(clippy::too_many_arguments)]
-fn steady_stats<A: Allocator, P: Probe>(
-    cfg: &OpenConfig,
-    responses: &[f64],
-    slowdowns: &[f64],
-    arrivals: u64,
-    completed_work: u64,
-    engine: &QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
-    detector: &SaturationDetector,
-) -> OpenOutcome {
-    let response = batch_means(responses, cfg.batches)
-        .expect("validate() guarantees one observation per batch");
-    let slowdown = percentiles(slowdowns).expect("measured_jobs > 0");
-    let horizon = engine.now();
-    OpenOutcome::Steady(SteadyStats {
-        response,
-        slowdown,
-        completed: cfg.measured_jobs,
-        arrivals,
-        quanta: engine.quanta(),
-        horizon,
-        mean_jobs_in_system: detector.mean_jobs_in_system(),
-        peak_jobs_in_system: detector.peak_jobs_in_system(),
-        measured_utilization: measured_utilization(completed_work, cfg.processors, horizon),
-    })
-}
-
-/// Evaluates the saturation detector and the quanta budget — the same
-/// check, in the same order, after every executed quantum (bulk windows
-/// end exactly on trend-evaluation and budget edges, so evaluating once
-/// per window sees what per-quantum evaluation would have seen).
-fn saturation_trip<A: Allocator, P: Probe>(
-    cfg: &OpenConfig,
-    engine: &QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
-    detector: &SaturationDetector,
-) -> Option<SaturationReason> {
-    detector.check().or_else(|| {
-        (engine.quanta() >= cfg.max_quanta).then_some(SaturationReason::HorizonExhausted {
-            quanta: cfg.max_quanta,
-        })
-    })
-}
-
-/// The unstable outcome at the moment `reason` tripped.
-fn unstable_report<A: Allocator, P: Probe>(
-    reason: SaturationReason,
-    arrivals: u64,
-    completed: u64,
-    engine: &QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
-) -> OpenOutcome {
-    OpenOutcome::Unstable(UnstableReport {
-        reason,
-        quanta: engine.quanta(),
-        horizon: engine.now(),
-        jobs_in_system: engine.jobs_in_system() as u64,
-        completed,
-        arrivals,
-    })
+    // One simulation over the whole machine: the crate's event loop
+    // with the shared-RNG arrival source, run as one unbounded epoch.
+    let mut sim = GroupSim::new(
+        cfg,
+        cfg.processors,
+        cfg.measured_jobs,
+        SharedRng::new(cfg),
+        allocator,
+        probe,
+    );
+    sim.advance_until(cfg, u64::MAX, &mut make_executor, &mut make_calculator);
+    sim.fold_epoch();
+    let (report, probe) = sim.into_report();
+    (merge_reports(cfg, &[report]), probe)
 }
 
 #[cfg(test)]
@@ -701,19 +532,5 @@ mod tests {
             // with the exact messages the old asserts produced.
             assert_eq!(err.to_string(), message);
         }
-    }
-
-    #[test]
-    fn zero_horizon_abort_yields_zero_utilization_not_nan() {
-        // A run aborted before executing a single quantum used to feed
-        // `0 / (P · 0)` into the utilization — a NaN that poisoned any
-        // aggregation over it.
-        assert_eq!(measured_utilization(0, 16, 0).to_bits(), 0.0_f64.to_bits());
-        // Normal case unchanged.
-        assert_eq!(measured_utilization(320, 16, 10), 2.0);
-        // The companion statistic over an empty detector history is
-        // likewise a plain zero.
-        let detector = SaturationDetector::new(SaturationConfig::default());
-        assert_eq!(detector.mean_jobs_in_system().to_bits(), 0.0_f64.to_bits());
     }
 }

@@ -10,9 +10,10 @@
 //!
 //! This module supplies the two driver-level pieces:
 //!
-//! * [`ArrivalCalendar`] — the pending-arrival queue fed by
-//!   [`ArrivalStream::next_batch`], so trace-driven streams refill in
-//!   blocks instead of one stream call per arrival;
+//! * `ArrivalSource` — where the loop's arrivals come from, with two
+//!   implementations: `SharedRng`, the unpartitioned run's single RNG
+//!   interleaving gap and job-structure draws, and `RouterReplay`, one
+//!   processor group's decimation of the shared aggregate path;
 //! * [`frozen_window_bound`] — the arithmetic folding the driver-level
 //!   event horizons into the largest quantum count the next frozen
 //!   window may cover without skipping an observable event.
@@ -21,70 +22,150 @@
 //! the bounds unit-testable against the legacy loop's admission and
 //! check points.
 
-use abg_workload::{ArrivalProcess, ArrivalStream};
-use rand::Rng;
-use std::collections::VecDeque;
+use crate::driver::OpenConfig;
+use crate::hier::HierOpenConfig;
+use crate::routing::{job_seed, router_seed, ShardRouting};
+use abg_workload::ArrivalStream;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// How many arrivals a trace-driven calendar pre-draws per refill.
-const TRACE_BATCH: usize = 64;
-
-/// A pending-event queue of upcoming arrival times.
+/// The arrival side of the open-system loop: yields the arrivals a
+/// simulation admits, the RNG each job's structure is sampled from,
+/// and the global arrival index behind each local admission id.
 ///
-/// Wraps an [`ArrivalStream`] and hands out arrival times one at a
-/// time, refilling an internal buffer in batches via
-/// [`ArrivalStream::next_batch`]. The batch size is chosen per process
-/// so the RNG consumption order is *identical* to calling
-/// [`ArrivalStream::next_arrival`] once per arrival:
-///
-/// * **Trace** streams consume no randomness, so the calendar pre-draws
-///   `TRACE_BATCH` (64) gaps per refill;
-/// * **Poisson** streams draw one `f64` per gap from the same RNG the
-///   driver's job generator samples from, interleaved
-///   gap/job/gap/job… — batching those draws would reorder the stream
-///   and move every pinned `open_fingerprint`, so the calendar keeps a
-///   lookahead of exactly one.
-#[derive(Debug, Clone)]
-pub struct ArrivalCalendar {
-    stream: ArrivalStream,
-    pending: VecDeque<u64>,
-    batch: usize,
-    /// Refill scratch reused across batches, so the steady-state loop
-    /// allocates nothing per refill.
-    refill: Vec<u64>,
+/// The loop calls [`next_arrival`](ArrivalSource::next_arrival) once
+/// up front and then, per admission, draws the job from
+/// [`job_rng`](ArrivalSource::job_rng) before drawing the next
+/// arrival — the order the pinned fingerprints depend on.
+pub(crate) trait ArrivalSource {
+    /// The next arrival admitted here: `(global arrival index,
+    /// absolute arrival step)`.
+    fn next_arrival(&mut self) -> (u64, u64);
+    /// The RNG the job structure of global arrival `global` is sampled
+    /// from.
+    fn job_rng(&mut self, global: u64) -> &mut StdRng;
+    /// Records that the core admitted global arrival `global` under
+    /// local id `id`.
+    fn admitted(&mut self, id: u64, global: u64);
+    /// The global arrival index of local admission id `id`.
+    fn global(&self, id: u64) -> u64;
 }
 
-impl ArrivalCalendar {
-    /// Starts a calendar over a fresh stream of `process` from time 0.
+/// The unpartitioned run's arrival source: one `StdRng` seeded from
+/// the run seed interleaves Poisson gap draws with job-structure draws
+/// (gap, job, gap, job, …), and the admission id *is* the arrival
+/// index, so nothing is stored per arrival.
+pub(crate) struct SharedRng {
+    stream: ArrivalStream,
+    rng: StdRng,
+    next_global: u64,
+}
+
+impl SharedRng {
+    /// A source over a fresh stream of `cfg.arrivals`, seeded from
+    /// `cfg.seed`.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid process (see [`ArrivalProcess::stream`]).
-    pub fn new(process: &ArrivalProcess) -> Self {
-        let batch = match process {
-            ArrivalProcess::Poisson { .. } => 1,
-            ArrivalProcess::Trace { .. } => TRACE_BATCH,
-        };
+    /// Panics on an invalid arrival process (see
+    /// [`ArrivalProcess::stream`](abg_workload::ArrivalProcess::stream)).
+    pub(crate) fn new(cfg: &OpenConfig) -> Self {
         Self {
-            stream: process.stream(),
-            pending: VecDeque::new(),
-            batch,
-            refill: Vec::new(),
+            stream: cfg.arrivals.stream(),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            next_global: 0,
+        }
+    }
+}
+
+impl ArrivalSource for SharedRng {
+    fn next_arrival(&mut self) -> (u64, u64) {
+        let global = self.next_global;
+        self.next_global += 1;
+        (global, self.stream.next_arrival(&mut self.rng))
+    }
+
+    fn job_rng(&mut self, _global: u64) -> &mut StdRng {
+        &mut self.rng
+    }
+
+    fn admitted(&mut self, id: u64, global: u64) {
+        debug_assert_eq!(id, global, "every arrival is admitted in order");
+    }
+
+    fn global(&self, id: u64) -> u64 {
+        id
+    }
+}
+
+/// One processor group's arrival source: replays the aggregate arrival
+/// path from the shared router seed and keeps the arrivals the
+/// [`ShardRouting`] policy assigns to this group. Skipped arrivals
+/// still consume their draws, so every group sees the identical
+/// aggregate path; job structures come from per-arrival SplitMix64
+/// seeds, and a local→global id map translates completions back to
+/// measurement slots.
+pub(crate) struct RouterReplay {
+    stream: ArrivalStream,
+    rng: StdRng,
+    job: StdRng,
+    /// Global index of the next aggregate arrival to draw.
+    next_global: u64,
+    /// Local admission id → global arrival index.
+    globals: Vec<u64>,
+    routing: ShardRouting,
+    groups: u32,
+    group: u32,
+    seed: u64,
+}
+
+impl RouterReplay {
+    /// The source of group `group` of the partitioned run `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid arrival process (see
+    /// [`ArrivalProcess::stream`](abg_workload::ArrivalProcess::stream)).
+    pub(crate) fn new(cfg: &HierOpenConfig, group: u32) -> Self {
+        let seed = cfg.open.seed;
+        Self {
+            stream: cfg.open.arrivals.stream(),
+            rng: StdRng::seed_from_u64(router_seed(seed)),
+            job: StdRng::seed_from_u64(0),
+            next_global: 0,
+            globals: Vec::new(),
+            routing: cfg.routing,
+            groups: cfg.groups,
+            group,
+            seed,
+        }
+    }
+}
+
+impl ArrivalSource for RouterReplay {
+    fn next_arrival(&mut self) -> (u64, u64) {
+        loop {
+            let time = self.stream.next_arrival(&mut self.rng);
+            let global = self.next_global;
+            self.next_global += 1;
+            if self.routing.route(self.groups, self.seed, global) == self.group {
+                return (global, time);
+            }
         }
     }
 
-    /// Consumes and returns the next arrival time (absolute step).
-    ///
-    /// Bit-identical to [`ArrivalStream::next_arrival`] on the same
-    /// stream and RNG, draw for draw.
-    pub fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        if self.pending.is_empty() {
-            // `next_batch` appends, so the scratch is cleared first; the
-            // buffer itself persists across refills.
-            self.refill.clear();
-            self.stream.next_batch(self.batch, rng, &mut self.refill);
-            self.pending.extend(self.refill.iter().copied());
-        }
-        self.pending.pop_front().expect("batch refill is non-empty")
+    fn job_rng(&mut self, global: u64) -> &mut StdRng {
+        self.job = StdRng::seed_from_u64(job_seed(self.seed, global));
+        &mut self.job
+    }
+
+    fn admitted(&mut self, id: u64, global: u64) {
+        debug_assert_eq!(id as usize, self.globals.len());
+        self.globals.push(global);
+    }
+
+    fn global(&self, id: u64) -> u64 {
+        self.globals[id as usize]
     }
 }
 
@@ -127,49 +208,82 @@ pub fn frozen_window_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use crate::saturation::SaturationConfig;
+    use abg_workload::ArrivalProcess;
+    use rand::RngExt;
 
     #[test]
-    fn calendar_matches_the_raw_stream_for_both_processes() {
-        for process in [
-            ArrivalProcess::Poisson { mean_gap: 25.0 },
-            ArrivalProcess::Trace {
-                gaps: vec![7, 0, 3, 12],
-            },
-        ] {
-            let mut raw_rng = StdRng::seed_from_u64(0xCA1);
-            let mut cal_rng = StdRng::seed_from_u64(0xCA1);
-            let mut raw = process.stream();
-            let mut cal = ArrivalCalendar::new(&process);
-            for i in 0..200 {
-                assert_eq!(
-                    cal.next_arrival(&mut cal_rng),
-                    raw.next_arrival(&mut raw_rng),
-                    "arrival {i} diverged for {process:?}"
-                );
-            }
+    fn shared_source_matches_the_raw_stream_and_keeps_the_rng_in_step() {
+        // The shared source must consume exactly one draw per Poisson
+        // arrival from the RNG the job generator samples from, so job
+        // draws interleaved between arrivals see the raw stream's RNG
+        // state — the pattern of the fingerprint-pinned sweeps.
+        let cfg = OpenConfig {
+            processors: 16,
+            quantum_len: 10,
+            arrivals: ArrivalProcess::Poisson { mean_gap: 25.0 },
+            warmup_jobs: 0,
+            measured_jobs: 8,
+            batches: 2,
+            max_quanta: 100,
+            saturation: SaturationConfig::default(),
+            seed: 0xCA2,
+        };
+        let mut raw_rng = StdRng::seed_from_u64(cfg.seed);
+        let mut raw = cfg.arrivals.stream();
+        let mut src = SharedRng::new(&cfg);
+        for i in 0..100 {
+            let (global, time) = src.next_arrival();
+            assert_eq!((global, time), (i, raw.next_arrival(&mut raw_rng)));
+            let a: u64 = src.job_rng(global).random();
+            let b: u64 = raw_rng.random();
+            assert_eq!(a, b, "RNG interleave broken at arrival {i}");
+            src.admitted(global, global);
+            assert_eq!(src.global(global), global);
         }
     }
 
     #[test]
-    fn poisson_calendar_keeps_lookahead_one() {
-        // Interleave arrival draws with unrelated draws from the same
-        // RNG — the pattern of the fingerprint-pinned sweeps. The
-        // calendar must consume exactly one draw per arrival, in order.
-        let process = ArrivalProcess::Poisson { mean_gap: 25.0 };
-        let mut raw_rng = StdRng::seed_from_u64(0xCA2);
-        let mut cal_rng = StdRng::seed_from_u64(0xCA2);
-        let mut raw = process.stream();
-        let mut cal = ArrivalCalendar::new(&process);
-        for _ in 0..100 {
-            assert_eq!(
-                cal.next_arrival(&mut cal_rng),
-                raw.next_arrival(&mut raw_rng)
-            );
-            let a: u64 = cal_rng.random();
-            let b: u64 = raw_rng.random();
-            assert_eq!(a, b, "RNG interleave broken");
+    fn every_group_replays_the_same_aggregate_path() {
+        let cfg = HierOpenConfig {
+            open: OpenConfig {
+                processors: 16,
+                quantum_len: 10,
+                arrivals: ArrivalProcess::Poisson { mean_gap: 25.0 },
+                warmup_jobs: 40,
+                measured_jobs: 160,
+                batches: 8,
+                max_quanta: 2_000_000,
+                saturation: SaturationConfig::default(),
+                seed: 0x5AAD,
+            },
+            groups: 4,
+            routing: ShardRouting::RoundRobin,
+            realloc_epoch: u64::MAX,
+            group_floor: 1,
+        };
+        // Collect (global, time) from every group's source; the union
+        // must be one consistent aggregate path.
+        let mut seen: Vec<(u64, u64)> = Vec::new();
+        for k in 0..4 {
+            let mut src = RouterReplay::new(&cfg, k);
+            for _ in 0..25 {
+                seen.push(src.next_arrival());
+            }
+        }
+        seen.sort_unstable();
+        for pair in seen.windows(2) {
+            assert_ne!(pair[0].0, pair[1].0, "global index claimed twice");
+            assert!(pair[0].1 <= pair[1].1, "aggregate path not monotone");
+        }
+        // Round-robin: group k owns exactly the indices ≡ k (mod 4),
+        // and local admission ids map back to them.
+        let mut src = RouterReplay::new(&cfg, 2);
+        for j in 0..10 {
+            let (global, _) = src.next_arrival();
+            assert_eq!(global, 2 + 4 * j);
+            src.admitted(j, global);
+            assert_eq!(src.global(j), global);
         }
     }
 

@@ -1,23 +1,23 @@
-//! Hierarchical two-level scheduling: a feedback-driven top-level
-//! allocator over the sharded open-system engine.
+//! Hierarchical two-level scheduling: the machine partitioned into
+//! processor groups under a feedback-driven top-level allocator.
 //!
-//! The sharded engine ([`run_open_sharded`](crate::run_open_sharded))
-//! fixes each processor group's capacity at `P/G` forever; under
-//! skewed arrivals one group drowns while its neighbors idle. This
-//! module adds the missing layer of the hierarchical schemes for
-//! malleable jobs (Cao–Sun–Qian–Wu's desire-feedback partitioning,
-//! with the policy made pluggable in the spirit of the
-//! control-theoretic framing): each group still runs its own
-//! [`QuantumCore`] + [`SaturationDetector`]
-//! over the deterministic router-replay arrival split, but now reports
-//! a per-epoch **group desire** — aggregated job requests, in-system
+//! A single [`run_open_system`](crate::run_open_system) run pushes
+//! every in-flight job through one core on one thread. This module
+//! splits the machine into `G` processor groups — the hierarchical
+//! schemes for malleable jobs (Cao–Sun–Qian–Wu's desire-feedback
+//! partitioning, with the policy made pluggable in the spirit of the
+//! control-theoretic framing): each group runs its own [`QuantumCore`]
+//! and [`SaturationDetector`] over the deterministic router-replay
+//! arrival split (see [`routing`](crate::routing)), and reports a
+//! per-epoch **group desire** — aggregated job requests, in-system
 //! population, and served utilization — to a top-level
 //! [`GroupAllocator`] that recomputes every group's capacity at fixed
-//! reallocation epochs.
+//! reallocation epochs. Groups run on a worker pool honoring
+//! `ABG_THREADS`.
 //!
 //! **Execution model.** The driver advances all groups in lockstep
 //! over reallocation epochs of `realloc_epoch` quanta. Within an epoch
-//! each group runs its ordinary event-driven loop (admissions, real
+//! each group runs the crate's one event-driven loop (admissions, real
 //! quanta, frozen-window macro-steps) and pauses at the first quantum
 //! boundary at or after the epoch edge — the *epoch invariant*:
 //! capacity changes take effect at quantum granularity, never inside a
@@ -25,45 +25,47 @@
 //! group-index order, on one thread), asks the policy for the next
 //! partition, and swaps each resized group's allocator in place.
 //!
-//! **Determinism.** Everything the sharded engine guarantees carries
-//! over: arrivals replay the shared router path, job structures are
-//! keyed by global arrival index, and the merge folds in group-index
-//! order — the outcome is a pure function of the configuration,
-//! bit-independent of the worker pool's size and schedule. Epoch
-//! segmentation itself is invisible to a group that is never resized:
-//! frozen windows may be split at any quantum boundary
+//! **Determinism.** Arrivals replay the shared router path, job
+//! structures are keyed by global arrival index, and the merge folds in
+//! group-index order — the outcome is a pure function of the
+//! configuration, bit-independent of the worker pool's size and
+//! schedule. Epoch segmentation itself is invisible to a group that is
+//! never resized: frozen windows may be split at any quantum boundary
 //! ([`advance_frozen`](QuantumCore::advance_frozen) is bit-equivalent
-//! to stepping, and the detector's `record_n` is linear in its
-//! sample count), and an idle group *pauses* at the epoch edge rather
-//! than capping its idle skip (a capped skip plus a later one could
-//! land a full quantum later than the single direct skip). That is why
+//! to stepping, and the detector's `record_n` is linear in its sample
+//! count), and an idle group *pauses* at the epoch edge rather than
+//! capping its idle skip (a capped skip plus a later one could land a
+//! full quantum later than the single direct skip). That is why
 //! [`StaticEqui`](abg_control::StaticEqui) — which never resizes
-//! anyone — reproduces [`run_open_sharded`](crate::run_open_sharded)
-//! bit-for-bit, pinned fingerprints included, whatever the epoch
-//! length: the compatibility anchor the tests pin.
+//! anyone — gives the same outcome at every epoch length as the fixed
+//! partition it describes, run as one unbounded epoch
+//! (`realloc_epoch = u64::MAX`, no barriers at all).
 //!
 //! `groups = 1` delegates to [`run_open_system`](crate::run_open_system)
 //! verbatim (with one group the sum invariant forbids any capacity
-//! change), mirroring the sharded engine's `shards = 1` rule.
+//! change).
 
-use crate::driver::{ConfigError, OpenConfig, OpenOutcome};
-use crate::events::frozen_window_bound;
+use crate::driver::{ConfigError, OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
+use crate::events::{frozen_window_bound, ArrivalSource, RouterReplay};
+use crate::routing::{measured_assigned, pool_threads, ShardRouting};
 use crate::saturation::{SaturationDetector, SaturationReason};
-use crate::shard::{
-    job_seed, measured_assigned, merge_reports, pool_threads, shard_processors, shard_trip,
-    ShardArrivals, ShardReport, ShardRouting, ShardedOpenConfig,
-};
+use crate::stats::{merge_shard_samples, merged_batch_means, percentiles, weighted_mean};
 use abg_alloc::Allocator;
-use abg_control::{GroupAllocator, GroupDesire, RequestCalculator};
+use abg_control::{equi_partition, GroupAllocator, GroupDesire, RequestCalculator};
 use abg_sched::JobExecutor;
-use abg_sim::{CompletedJob, NullProbe, QuantumCore};
+use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of a hierarchical open-system run: the sharded
-/// decomposition plus the top level's reallocation cadence and
-/// capacity floor.
+/// Configuration of a hierarchical open-system run: the aggregate
+/// configuration split over processor groups, plus the top level's
+/// reallocation cadence and capacity floor.
+///
+/// A fixed partition is the trivial top level: [`StaticEqui`] with
+/// `realloc_epoch = u64::MAX` runs every group to completion in one
+/// unbounded epoch, with no barriers at all.
+///
+/// [`StaticEqui`]: abg_control::StaticEqui
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HierOpenConfig {
     /// The aggregate open-system configuration (total machine size,
@@ -72,7 +74,7 @@ pub struct HierOpenConfig {
     pub open: OpenConfig,
     /// Processor groups `G` under the top-level allocator.
     pub groups: u32,
-    /// The arrival-routing policy (shared with the sharded engine).
+    /// The arrival-routing policy.
     pub routing: ShardRouting,
     /// Reallocation epoch in quanta: the top-level allocator runs at
     /// every multiple of `realloc_epoch * quantum_len` steps.
@@ -120,18 +122,6 @@ impl HierOpenConfig {
             panic!("{err}");
         }
     }
-
-    /// The per-group decomposition this run starts from: the sharded
-    /// configuration with one shard per group. The routing helpers,
-    /// arrival replay and initial equi-partition are all defined
-    /// against this view.
-    pub fn as_sharded(&self) -> ShardedOpenConfig {
-        ShardedOpenConfig {
-            open: self.open.clone(),
-            shards: self.groups,
-            routing: self.routing,
-        }
-    }
 }
 
 /// Per-group accounting of one hierarchical run: where the top level
@@ -164,31 +154,28 @@ enum GroupStatus {
     Tripped,
 }
 
-/// One resumable per-group open-system simulation: the event-driven
-/// shard loop of the sharded engine, pausable at any quantum boundary
-/// so a top-level allocator can resize the group between epochs.
-///
-/// `run_shard` runs one of these with an unbounded epoch (`until =
-/// u64::MAX`), which disables every pause point — the hierarchical
-/// driver and the static sharded engine share this loop, so their
-/// equivalence under a never-resizing policy is structural, not
-/// coincidental.
-pub(crate) struct GroupSim<A: Allocator> {
+/// One resumable open-system simulation — *the* event loop of the
+/// crate. [`run_open_system`](crate::run_open_system) runs one over
+/// the whole machine with the shared-RNG arrival source and an
+/// unbounded epoch; the hierarchical driver runs one per processor
+/// group over the router-replay source, pausing each at every epoch
+/// edge so the top level can resize it.
+pub(crate) struct GroupSim<A: Allocator, S, P: Probe = NullProbe> {
     /// Current capacity (processors owned by this group).
     processors: u32,
-    engine:
-        QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, NullProbe>,
+    engine: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
     detector: SaturationDetector,
-    arrivals: ShardArrivals,
-    /// Local admission id → global arrival index (admission order).
-    globals: Vec<u64>,
-    /// Measured arrivals routed here that have not completed yet.
+    arrivals: S,
+    /// Measured arrivals admitted here that have not completed yet.
     outstanding: u64,
+    /// Executors handed back when their jobs drained, offered to the
+    /// factory one per admission (LIFO — the hottest buffers first).
     pool: Vec<Box<dyn JobExecutor + Send>>,
     done: Vec<CompletedJob>,
     next_global: u64,
     next_time: u64,
     status: GroupStatus,
+    /// Measured samples: `(global slot, response, slowdown)`.
     samples: Vec<(u64, f64, f64)>,
     arrivals_seen: u64,
     completed_measured: u64,
@@ -202,29 +189,30 @@ pub(crate) struct GroupSim<A: Allocator> {
     accounted_work: u64,
 }
 
-impl<A: Allocator> GroupSim<A> {
-    /// A fresh group simulation at its equi-partition capacity. A
-    /// group with no measured arrivals routed to it starts (and stays)
-    /// finished — it could not influence any merged statistic.
-    pub(crate) fn new(cfg: &ShardedOpenConfig, shard: u32, allocator: A) -> Self {
-        let open = &cfg.open;
-        let processors = shard_processors(open.processors, cfg.shards, shard);
-        let assigned = measured_assigned(cfg, shard);
-        let mut arrivals = ShardArrivals::new(cfg, shard);
-        let engine = QuantumCore::new(allocator, open.quantum_len, NullProbe);
-        let detector = SaturationDetector::new(open.saturation);
+impl<A: Allocator, S: ArrivalSource, P: Probe> GroupSim<A, S, P> {
+    /// A fresh simulation owning `processors` processors, expecting
+    /// `assigned` measured arrivals from `arrivals`. A group with no
+    /// measured arrivals routed to it starts (and stays) finished — it
+    /// could not influence any merged statistic.
+    pub(crate) fn new(
+        open: &OpenConfig,
+        processors: u32,
+        assigned: u64,
+        mut arrivals: S,
+        allocator: A,
+        probe: P,
+    ) -> Self {
         let (status, next_global, next_time) = if assigned == 0 {
             (GroupStatus::Finished, 0, 0)
         } else {
-            let (global, time) = arrivals.next(cfg);
+            let (global, time) = arrivals.next_arrival();
             (GroupStatus::Running, global, time)
         };
         Self {
             processors,
-            engine,
-            detector,
+            engine: QuantumCore::new(allocator, open.quantum_len, probe),
+            detector: SaturationDetector::new(open.saturation),
             arrivals,
-            globals: Vec::new(),
             outstanding: assigned,
             pool: Vec::new(),
             done: Vec::new(),
@@ -258,8 +246,15 @@ impl<A: Allocator> GroupSim<A> {
 
     /// Advances the simulation to the first quantum boundary at or
     /// after `until` (or to completion / saturation trip, whichever
-    /// comes first). `until = u64::MAX` never pauses: the loop then
-    /// *is* the sharded engine's single-pass shard loop.
+    /// comes first). `until = u64::MAX` never pauses.
+    ///
+    /// Each round admits everything due, fast-forwards an empty
+    /// system to its next arrival, steps one real quantum, records
+    /// completions and the saturation verdict, then macro-steps the
+    /// core across frozen quanta up to the next driver-level event
+    /// (arrival, trend evaluation, budget edge, epoch edge). The core
+    /// declines a window whenever a completion or a request change
+    /// could occur, so nothing observable is skipped.
     ///
     /// Pause points are chosen to keep segmentation invisible:
     ///
@@ -272,42 +267,37 @@ impl<A: Allocator> GroupSim<A> {
     ///   overshoot the single direct skip).
     pub(crate) fn advance_until<E, C>(
         &mut self,
-        cfg: &ShardedOpenConfig,
+        open: &OpenConfig,
         until: u64,
-        make_executor: &E,
-        make_calculator: &C,
+        make_executor: &mut E,
+        make_calculator: &mut C,
     ) where
-        E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>
-            + Sync,
-        C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
+        E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+        C: FnMut() -> Box<dyn RequestCalculator + Send>,
     {
         if self.status != GroupStatus::Running {
             return;
         }
-        let open = &cfg.open;
         let warmup = open.warmup_jobs;
         let measured = open.measured_jobs;
 
         loop {
             while self.next_time <= self.engine.now() {
-                // Job structures are sampled from the arrival's own
-                // derived RNG, so the population is a function of the
-                // run seed alone — identical across group counts,
-                // routings and reallocation policies.
-                let mut job_rng = StdRng::seed_from_u64(job_seed(open.seed, self.next_global));
-                let executor = make_executor(&mut job_rng, self.pool.pop());
+                let rng = self.arrivals.job_rng(self.next_global);
+                let executor = make_executor(rng, self.pool.pop());
                 let id = self
                     .engine
                     .admit(executor, make_calculator(), self.next_time);
-                debug_assert_eq!(id as usize, self.globals.len());
-                self.globals.push(self.next_global);
+                self.arrivals.admitted(id, self.next_global);
                 self.arrivals_seen += 1;
-                (self.next_global, self.next_time) = self.arrivals.next(cfg);
+                (self.next_global, self.next_time) = self.arrivals.next_arrival();
             }
             if !self.engine.any_live() {
                 if self.next_time > until {
                     return; // Paused idle at the epoch edge.
                 }
+                // Empty system: fast-forward to the boundary of the
+                // next arrival instead of stepping idle quanta.
                 self.engine.skip_idle_until(self.next_time);
                 continue;
             }
@@ -322,7 +312,7 @@ impl<A: Allocator> GroupSim<A> {
 
             for job in &self.done {
                 self.completed_work += job.work;
-                let global = self.globals[job.id as usize];
+                let global = self.arrivals.global(job.id);
                 if global < warmup || global >= warmup + measured {
                     continue;
                 }
@@ -342,9 +332,7 @@ impl<A: Allocator> GroupSim<A> {
                 self.status = GroupStatus::Finished;
                 return;
             }
-            if let Some(reason) = shard_trip(open, &self.engine, &self.detector) {
-                self.tripped = Some(reason);
-                self.status = GroupStatus::Tripped;
+            if self.trip(open) {
                 return;
             }
 
@@ -376,13 +364,32 @@ impl<A: Allocator> GroupSim<A> {
                 }
                 self.detector
                     .record_n(self.engine.jobs_in_system(), advanced);
-                if let Some(reason) = shard_trip(open, &self.engine, &self.detector) {
-                    self.tripped = Some(reason);
-                    self.status = GroupStatus::Tripped;
+                if self.trip(open) {
                     return;
                 }
             }
         }
+    }
+
+    /// Evaluates the saturation detector and the quanta budget — the
+    /// same check, in the same order, after every executed quantum
+    /// (bulk windows end exactly on trend-evaluation and budget edges,
+    /// so evaluating once per window sees what per-quantum evaluation
+    /// would have seen). Marks the group tripped and returns `true` on
+    /// a verdict.
+    fn trip(&mut self, open: &OpenConfig) -> bool {
+        let reason = self.detector.check().or_else(|| {
+            (self.engine.quanta() >= open.max_quanta).then_some(
+                SaturationReason::HorizonExhausted {
+                    quanta: open.max_quanta,
+                },
+            )
+        });
+        if reason.is_some() {
+            self.tripped = reason;
+            self.status = GroupStatus::Tripped;
+        }
+        reason.is_some()
     }
 
     /// Folds the epoch that just ended into the capacity integral and
@@ -419,11 +426,6 @@ impl<A: Allocator> GroupSim<A> {
         }
     }
 
-    /// The group's capacity integral (processor-steps) folded so far.
-    pub(crate) fn capacity_steps(&self) -> u64 {
-        self.capacity_steps
-    }
-
     /// The group's standing in the run's [`GroupSummary`] table.
     /// Meaningful once the run has ended (the capacity integral is
     /// folded up to the final barrier).
@@ -440,31 +442,127 @@ impl<A: Allocator> GroupSim<A> {
         }
     }
 
-    /// Hands the group's accumulated statistics to the merge.
-    pub(crate) fn into_report(self) -> ShardReport {
-        ShardReport {
-            processors: self.processors,
+    /// Hands the accumulated statistics to the merge, and the probe
+    /// back to the caller. Call after the final
+    /// [`fold_epoch`](GroupSim::fold_epoch).
+    pub(crate) fn into_report(self) -> (GroupReport, P) {
+        let report = GroupReport {
             samples: self.samples,
             arrivals: self.arrivals_seen,
             completed_measured: self.completed_measured,
             completed_work: self.completed_work,
+            capacity_steps: self.capacity_steps,
             quanta: self.engine.quanta(),
             horizon: self.engine.now(),
             jobs_in_system: self.engine.jobs_in_system() as u64,
             mean_jobs_in_system: self.detector.mean_jobs_in_system(),
             peak_jobs_in_system: self.detector.peak_jobs_in_system(),
             tripped: self.tripped,
-        }
+        };
+        (report, self.engine.into_probe())
     }
+}
+
+/// Everything one simulation hands back for the deterministic merge.
+pub(crate) struct GroupReport {
+    /// Measured samples: `(global slot, response, slowdown)`.
+    samples: Vec<(u64, f64, f64)>,
+    arrivals: u64,
+    completed_measured: u64,
+    completed_work: u64,
+    /// Processor-steps of capacity the group held over the run.
+    capacity_steps: u64,
+    quanta: u64,
+    horizon: u64,
+    jobs_in_system: u64,
+    mean_jobs_in_system: f64,
+    peak_jobs_in_system: u64,
+    tripped: Option<SaturationReason>,
+}
+
+/// Folds the per-group reports into one [`OpenOutcome`], in stable
+/// group-index order.
+///
+/// Any tripped group makes the merged outcome [`OpenOutcome::Unstable`]
+/// (reason from the lowest-index tripped group; diagnostics summed,
+/// horizon the maximum). Otherwise the measured samples recombine in
+/// global slot order through [`merged_batch_means`] /
+/// [`merge_shard_samples`]; `quanta` and `arrivals` sum; `horizon` is
+/// the largest group horizon; the mean in-system count is the
+/// quanta-weighted mean of the group means (a single group's own mean
+/// verbatim); and the served utilization is total completed work over
+/// the summed capacity integrals.
+pub(crate) fn merge_reports(open: &OpenConfig, reports: &[GroupReport]) -> OpenOutcome {
+    let quanta: u64 = reports.iter().map(|r| r.quanta).sum();
+    let arrivals: u64 = reports.iter().map(|r| r.arrivals).sum();
+    let horizon: u64 = reports.iter().map(|r| r.horizon).max().unwrap_or(0);
+    let completed: u64 = reports.iter().map(|r| r.completed_measured).sum();
+
+    if let Some(tripped) = reports.iter().find_map(|r| r.tripped) {
+        return OpenOutcome::Unstable(UnstableReport {
+            reason: tripped,
+            quanta,
+            horizon,
+            jobs_in_system: reports.iter().map(|r| r.jobs_in_system).sum(),
+            completed,
+            arrivals,
+        });
+    }
+
+    let slots = open.measured_jobs as usize;
+    let responses: Vec<Vec<(u64, f64)>> = reports
+        .iter()
+        .map(|r| r.samples.iter().map(|&(s, resp, _)| (s, resp)).collect())
+        .collect();
+    let slowdowns: Vec<Vec<(u64, f64)>> = reports
+        .iter()
+        .map(|r| r.samples.iter().map(|&(s, _, sd)| (s, sd)).collect())
+        .collect();
+    let response = merged_batch_means(&responses, slots, open.batches)
+        .expect("steady groups tile the measurement slots");
+    let slowdown_samples =
+        merge_shard_samples(&slowdowns, slots).expect("steady groups tile the measurement slots");
+    let slowdown = percentiles(&slowdown_samples).expect("measured_jobs > 0");
+
+    // `weighted_mean` of one pair computes m·q/q, which need not be m
+    // bit for bit — a lone group reports its detector's mean directly.
+    let mean_jobs_in_system = match reports {
+        [one] => one.mean_jobs_in_system,
+        _ => weighted_mean(
+            &reports
+                .iter()
+                .map(|r| (r.mean_jobs_in_system, r.quanta as f64))
+                .collect::<Vec<_>>(),
+        ),
+    };
+    let completed_work: u64 = reports.iter().map(|r| r.completed_work).sum();
+    let capacity: f64 = reports.iter().map(|r| r.capacity_steps as f64).sum();
+    OpenOutcome::Steady(SteadyStats {
+        response,
+        slowdown,
+        completed: open.measured_jobs,
+        arrivals,
+        quanta,
+        horizon,
+        mean_jobs_in_system,
+        // Summed per-group peaks: an aggregate-footprint upper bound
+        // (the groups need not peak at the same instant).
+        peak_jobs_in_system: reports.iter().map(|r| r.peak_jobs_in_system).sum(),
+        measured_utilization: if capacity == 0.0 {
+            0.0
+        } else {
+            completed_work as f64 / capacity
+        },
+    })
 }
 
 /// Advances every group on a scoped-thread pool (static chunk
 /// partition — groups are independent, so the schedule can never show
 /// through) and returns once all of them have paused at the barrier.
-fn advance_groups<A, F>(sims: &mut [GroupSim<A>], threads: usize, advance: F)
+fn advance_groups<A, F>(sims: &mut [GroupSim<A, RouterReplay>], threads: usize, advance: F)
 where
     A: Allocator + Send,
-    F: Fn(&mut GroupSim<A>) + Sync,
+    F: Fn(&mut GroupSim<A, RouterReplay>) + Sync,
 {
     let n = sims.len();
     let threads = threads.clamp(1, n.max(1));
@@ -592,8 +690,8 @@ where
     cfg.assert_valid();
     if cfg.groups == 1 {
         // One group owns the whole machine forever: delegate verbatim
-        // to the unsharded driver, bit-identical (same RNG stream,
-        // same loop) — mirroring the sharded engine's `shards = 1`.
+        // to the unpartitioned driver (same loop over the shared-RNG
+        // arrival source, same fingerprints).
         let outcome = crate::driver::run_open_system(
             &cfg.open,
             make_allocator(cfg.open.processors),
@@ -613,15 +711,20 @@ where
         return (outcome, vec![summary]);
     }
 
-    let sharded = cfg.as_sharded();
     let processors = cfg.open.processors;
-    let mut caps: Vec<u32> = (0..cfg.groups)
-        .map(|k| shard_processors(processors, cfg.groups, k))
-        .collect();
-    let mut sims: Vec<GroupSim<A>> = caps
-        .iter()
-        .enumerate()
-        .map(|(k, &cap)| GroupSim::new(&sharded, k as u32, make_allocator(cap)))
+    let mut caps = equi_partition(processors, cfg.groups);
+    let mut sims: Vec<GroupSim<A, RouterReplay>> = (0..cfg.groups)
+        .zip(&caps)
+        .map(|(k, &cap)| {
+            GroupSim::new(
+                &cfg.open,
+                cap,
+                measured_assigned(cfg, k),
+                RouterReplay::new(cfg, k),
+                make_allocator(cap),
+                NullProbe,
+            )
+        })
         .collect();
 
     let epoch_steps = cfg.realloc_epoch.saturating_mul(cfg.open.quantum_len);
@@ -629,7 +732,7 @@ where
     loop {
         let until = epoch.saturating_mul(epoch_steps);
         advance_groups(&mut sims, threads, |sim| {
-            sim.advance_until(&sharded, until, &make_executor, &make_calculator)
+            sim.advance_until(&cfg.open, until, &mut &make_executor, &mut &make_calculator)
         });
         // Desire collection and reallocation happen on this thread, in
         // group-index order: the one serial point of each epoch.
@@ -668,14 +771,13 @@ where
         epoch += 1;
     }
 
-    let capacity: f64 = sims.iter().map(|s| s.capacity_steps() as f64).sum();
     let summaries: Vec<GroupSummary> = sims
         .iter()
         .enumerate()
         .map(|(k, sim)| sim.summary(k as u32))
         .collect();
-    let reports: Vec<ShardReport> = sims.into_iter().map(GroupSim::into_report).collect();
-    (merge_reports(&cfg.open, &reports, capacity), summaries)
+    let reports: Vec<GroupReport> = sims.into_iter().map(|sim| sim.into_report().0).collect();
+    (merge_reports(&cfg.open, &reports), summaries)
 }
 
 #[cfg(test)]
@@ -683,7 +785,6 @@ mod tests {
     use super::*;
     use crate::driver::run_open_system;
     use crate::saturation::SaturationConfig;
-    use crate::shard::{route, run_open_sharded_with_threads};
     use abg_alloc::DynamicEquiPartition;
     use abg_control::{AControl, ConservativeTwoLevel, DesireProportional, StaticEqui};
     use abg_dag::PhasedJob;
@@ -724,25 +825,16 @@ mod tests {
         )
     }
 
-    fn run_sharded(cfg: &HierOpenConfig, threads: usize) -> OpenOutcome {
-        run_open_sharded_with_threads(
-            &cfg.as_sharded(),
-            DynamicEquiPartition::new,
-            |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
-            || Box::new(AControl::new(0.2)),
-            threads,
-        )
-    }
-
     #[test]
-    fn static_equi_is_bit_identical_to_the_sharded_engine() {
+    fn static_equi_is_bit_identical_at_every_epoch_length() {
         // The compatibility anchor, at the module level: a top level
         // that never resizes anyone must leave every group's
         // simulation — and thus the merged outcome — bit-identical to
-        // the fixed-partition sharded engine, whatever the epoch
-        // length slices the groups' loops into.
+        // the fixed partition run as one unbounded epoch, whatever the
+        // epoch length slices the groups' loops into.
         for groups in [2u32, 4, 8] {
-            let baseline = run_sharded(&config(0.5, groups, ShardRouting::RoundRobin, 1), 1);
+            let unbounded = config(0.5, groups, ShardRouting::RoundRobin, u64::MAX);
+            let baseline = run(&unbounded, StaticEqui, 1);
             for realloc_epoch in [1u64, 8, 64, 1000] {
                 let cfg = config(0.5, groups, ShardRouting::RoundRobin, realloc_epoch);
                 assert_eq!(
@@ -755,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn one_group_delegates_to_the_unsharded_driver() {
+    fn one_group_delegates_to_the_unpartitioned_driver() {
         let cfg = config(0.5, 1, ShardRouting::RoundRobin, 16);
         let direct = run_open_system(
             &cfg.open,
@@ -768,7 +860,11 @@ mod tests {
 
     #[test]
     fn outcome_is_independent_of_thread_count_and_schedule() {
-        for routing in [ShardRouting::RoundRobin, ShardRouting::Skewed { hot: 4 }] {
+        for routing in [
+            ShardRouting::RoundRobin,
+            ShardRouting::HashJobSeed,
+            ShardRouting::Skewed { hot: 4 },
+        ] {
             let cfg = config(0.35, 4, routing, 16);
             let baseline = run(&cfg, DesireProportional::new(), 1);
             for threads in 2..=8 {
@@ -782,20 +878,29 @@ mod tests {
     }
 
     #[test]
-    fn skewed_routing_concentrates_arrivals_on_group_zero() {
-        let cfg = config(0.5, 4, ShardRouting::Skewed { hot: 4 }, 16).as_sharded();
-        // Cycle of hot + shards - 1 = 7: four arrivals to group 0,
-        // then one each to groups 1..3 — an exact 4:1:1:1 split.
-        let groups: Vec<u32> = (0..14).map(|g| route(&cfg, g)).collect();
-        assert_eq!(groups, vec![0, 0, 0, 0, 1, 2, 3, 0, 0, 0, 0, 1, 2, 3]);
-        // Every measured arrival lands on exactly one group.
-        let assigned: u64 = (0..4).map(|k| measured_assigned(&cfg, k)).sum();
-        assert_eq!(assigned, cfg.open.measured_jobs);
-        let hot = measured_assigned(&cfg, 0);
-        assert!(
-            hot * 2 > assigned,
-            "hot group got {hot} of {assigned} measured arrivals"
-        );
+    fn static_partition_statistics_are_sane_and_overload_trips() {
+        let cfg = config(0.4, 4, ShardRouting::RoundRobin, u64::MAX);
+        let out = run(&cfg, StaticEqui, 2);
+        let stats = out.steady().expect("rho = 0.4 must be stable");
+        assert_eq!(stats.completed, 160);
+        assert!(stats.response.mean.is_finite() && stats.response.mean >= 40.0);
+        assert!(stats.slowdown.p50 >= 1.0);
+        assert!(stats.slowdown.p50 <= stats.slowdown.p95);
+        assert!(stats.measured_utilization > 0.05 && stats.measured_utilization < 1.0);
+        assert!(stats.mean_jobs_in_system > 0.0);
+        assert!(stats.arrivals >= 160);
+
+        let cfg = config(1.5, 4, ShardRouting::RoundRobin, u64::MAX);
+        match run(&cfg, StaticEqui, 2) {
+            OpenOutcome::Unstable(report) => {
+                assert!(matches!(
+                    report.reason,
+                    SaturationReason::QueueGrowth { .. } | SaturationReason::InSystemCap { .. }
+                ));
+                assert!(report.jobs_in_system > 0);
+            }
+            OpenOutcome::Steady(s) => panic!("rho = 1.5 reported steady: {s:?}"),
+        }
     }
 
     #[test]

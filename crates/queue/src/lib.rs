@@ -18,28 +18,33 @@
 //!   ([`abg_sim::QuantumCore::advance_frozen`]) instead of burning an
 //!   allocate/step/observe round per quantum, with bit-identical
 //!   observables;
-//! * [`events`] — the pending-event layer behind the driver: the
-//!   batched [`ArrivalCalendar`] and the frozen-window bound
-//!   arithmetic;
+//! * [`hier`] — [`run_open_hierarchical`]: the machine partitioned
+//!   into processor groups on a worker pool (honoring `ABG_THREADS`),
+//!   where a feedback-driven [`abg_control::GroupAllocator`]
+//!   repartitions the machine among the groups at fixed reallocation
+//!   epochs from per-group desire reports. A fixed partition is the
+//!   never-resizing [`abg_control::StaticEqui`] run as one unbounded
+//!   epoch. The outcome never depends on thread count or schedule;
+//! * [`events`] — the pending-event layer: the two arrival sources and
+//!   the frozen-window bound arithmetic;
+//! * [`routing`] — the deterministic [`ShardRouting`] policies that
+//!   split arrivals over processor groups;
 //! * [`stats`] — [`batch_means`] confidence intervals and nearest-rank
-//!   [`percentiles`] for steady-state output analysis;
+//!   [`percentiles`] for steady-state output analysis, plus the
+//!   slot-ordered merge of per-group samples;
 //! * [`saturation`] — the [`SaturationDetector`] queue-length trend
 //!   test that aborts never-steady runs (ρ ≥ 1) instead of hanging;
-//! * [`shard`] — [`run_open_sharded`]: the machine partitioned into
-//!   processor groups, one independent per-shard core per group on a
-//!   worker pool (honoring `ABG_THREADS`), with deterministic arrival
-//!   routing and a stable-order merge so the outcome never depends on
-//!   thread count or schedule; `shards = 1` is [`run_open_system`]
-//!   bit-for-bit;
-//! * [`hier`] — [`run_open_hierarchical`]: the two-level extension of
-//!   the sharded engine, where a feedback-driven
-//!   [`abg_control::GroupAllocator`] repartitions the machine among
-//!   the groups at fixed reallocation epochs from per-group desire
-//!   reports; the never-resizing [`abg_control::StaticEqui`] policy
-//!   reproduces [`run_open_sharded`] bit-for-bit;
 //! * `reference` (tests / `test-support` feature only) — the legacy
 //!   quantum-by-quantum loop, kept as the differential-testing ground
 //!   truth for the event-driven driver.
+//!
+//! **One loop, two arrival sources.** Both drivers run the same
+//! resumable event loop (admission, idle skip, real quantum, frozen
+//! windows, saturation trip, measurement). [`run_open_system`] feeds it
+//! from one shared RNG that interleaves arrival-gap and job-structure
+//! draws and runs it as a single unbounded epoch; each hierarchical
+//! group feeds it from a replay of the shared router path that keeps
+//! the arrivals routed to that group, with per-arrival job seeds.
 //!
 //! Offered load is set through
 //! [`abg_workload::mean_gap_for_utilization`]: ρ = E\[T₁\] / (gap · P),
@@ -88,23 +93,22 @@ pub mod hier;
 mod lockstep;
 #[cfg(any(test, feature = "test-support"))]
 pub mod reference;
+pub mod routing;
 pub mod saturation;
-pub mod shard;
 pub mod stats;
 
 pub use driver::{
     run_open_system, run_open_system_probed, ConfigError, OpenConfig, OpenOutcome, SteadyStats,
     UnstableReport,
 };
-pub use events::ArrivalCalendar;
 pub use hier::{
     run_open_hierarchical, run_open_hierarchical_detailed, run_open_hierarchical_with_threads,
     GroupSummary, HierOpenConfig,
 };
 #[cfg(any(test, feature = "test-support"))]
 pub use reference::ReferenceOpenDriver;
+pub use routing::ShardRouting;
 pub use saturation::{SaturationConfig, SaturationDetector, SaturationReason};
-pub use shard::{run_open_sharded, run_open_sharded_with_threads, ShardRouting, ShardedOpenConfig};
 pub use stats::{
     batch_means, merge_shard_samples, merged_batch_means, percentiles, weighted_mean,
     ConfidenceInterval, PercentileSummary,

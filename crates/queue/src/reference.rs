@@ -14,7 +14,7 @@
 //! Compiled only for tests and under the `test-support` feature; it is
 //! not part of the production API.
 
-use crate::driver::{measured_utilization, OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
+use crate::driver::{OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
 use crate::saturation::{SaturationDetector, SaturationReason};
 use crate::stats::{batch_means, percentiles};
 use abg_alloc::Allocator;
@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The pre-event-driven open-system driver: steps the core one quantum
-/// at a time with no frozen windows and no arrival calendar.
+/// at a time with no frozen windows.
 ///
 /// Exists solely as the ground truth the event-driven driver is
 /// differentially tested (and benchmarked) against.
@@ -163,5 +163,35 @@ impl ReferenceOpenDriver {
             }
         };
         (outcome, engine.into_probe())
+    }
+}
+
+/// Completed work over machine capacity `P · horizon`, guarded so a run
+/// aborted before executing a single quantum (`horizon == 0`) reports a
+/// utilization of zero instead of `0/0 = NaN`.
+fn measured_utilization(completed_work: u64, processors: u32, horizon: u64) -> f64 {
+    if horizon == 0 {
+        return 0.0;
+    }
+    completed_work as f64 / (processors as f64 * horizon as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::saturation::SaturationConfig;
+
+    #[test]
+    fn zero_horizon_abort_yields_zero_utilization_not_nan() {
+        // A run aborted before executing a single quantum used to feed
+        // `0 / (P · 0)` into the utilization — a NaN that poisoned any
+        // aggregation over it.
+        assert_eq!(measured_utilization(0, 16, 0).to_bits(), 0.0_f64.to_bits());
+        // Normal case unchanged.
+        assert_eq!(measured_utilization(320, 16, 10), 2.0);
+        // The companion statistic over an empty detector history is
+        // likewise a plain zero.
+        let detector = SaturationDetector::new(SaturationConfig::default());
+        assert_eq!(detector.mean_jobs_in_system().to_bits(), 0.0_f64.to_bits());
     }
 }

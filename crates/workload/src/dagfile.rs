@@ -16,7 +16,8 @@
 //! ```
 //!
 //! * `tasks <n>` — declares `n` tasks with ids `0..n`; must appear
-//!   before any `weight` or `edge` line, exactly once.
+//!   before any `weight` or `edge` line, exactly once. Task ids are
+//!   `u32`, so `n` is at most 2^32.
 //! * `weight <id> <w>` — sets one task's weight (`f64`, finite and
 //!   positive; validated by the same rule as `DagWire` decoding).
 //!   Omitted tasks keep weight 1. Files with no weight lines load as
@@ -44,9 +45,20 @@ pub enum DagFileError {
         /// What went wrong on that line.
         message: String,
     },
+    /// The `tasks` count exceeds the `u32` task-id space (`n > 2^32`),
+    /// so no `weight` or `edge` line could address every task.
+    TooManyTasks {
+        /// 1-based line number of the `tasks` directive.
+        line: usize,
+        /// The declared task count.
+        tasks: u64,
+    },
     /// The parsed structure is not a valid dag (cycle, bad weight, …).
     Dag(DagError),
 }
+
+/// Most tasks a dag file can declare: one per `u32` task id.
+const MAX_TASKS: u64 = 1 << 32;
 
 impl fmt::Display for DagFileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -55,6 +67,11 @@ impl fmt::Display for DagFileError {
             DagFileError::Parse { line, message } => {
                 write!(f, "dag file parse error on line {line}: {message}")
             }
+            DagFileError::TooManyTasks { line, tasks } => write!(
+                f,
+                "dag file error on line {line}: {tasks} tasks exceed the u32 task-id space \
+                 (at most {MAX_TASKS})"
+            ),
             DagFileError::Dag(e) => write!(f, "dag file rejected: {e}"),
         }
     }
@@ -132,7 +149,11 @@ pub fn parse_dag(text: &str) -> Result<ExplicitDag, DagFileError> {
                         message: "duplicate 'tasks' directive".into(),
                     });
                 }
-                let n: usize = parse_field(tokens.next(), "task count", line)?;
+                let n: u64 = parse_field(tokens.next(), "task count", line)?;
+                if n > MAX_TASKS {
+                    return Err(DagFileError::TooManyTasks { line, tasks: n });
+                }
+                let n = n as usize;
                 let mut b = DagBuilder::with_capacity(n);
                 for _ in 0..n {
                     b.add_task();
@@ -294,6 +315,43 @@ mod tests {
         assert!(
             err.to_string().contains("unknown directive 'nodes'"),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn task_counts_beyond_the_id_space_are_rejected_before_allocating() {
+        let err = parse_dag("# huge\ntasks 99999999999999\n").unwrap_err();
+        assert!(matches!(
+            err,
+            DagFileError::TooManyTasks {
+                line: 2,
+                tasks: 99_999_999_999_999
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "dag file error on line 2: 99999999999999 tasks exceed the u32 task-id space \
+             (at most 4294967296)"
+        );
+        let err = parse_dag("tasks 4294967297\n").unwrap_err();
+        assert!(matches!(err, DagFileError::TooManyTasks { line: 1, .. }));
+    }
+
+    #[test]
+    fn unrepresentable_weighted_work_surfaces_the_typed_dag_error() {
+        let err = parse_dag("tasks 2\nweight 0 1e308\nedge 0 1\n").unwrap_err();
+        assert!(matches!(
+            err,
+            DagFileError::Dag(DagError::CostOverflow(TaskId(0)))
+        ));
+        assert_eq!(
+            err.to_string(),
+            "dag file rejected: weighted work overflows u64 steps at task t0"
+        );
+        let err = parse_dag("tasks 2\nweight 0 1e19\nweight 1 1e19\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "dag file rejected: weighted work overflows u64 steps at task t1"
         );
     }
 

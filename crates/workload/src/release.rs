@@ -190,39 +190,6 @@ impl ArrivalStream {
             }
         }
     }
-
-    /// Pre-draws the next `n` arrival times into `out` (appended in
-    /// arrival order), batching the per-gap draws into one pass over
-    /// the process state.
-    ///
-    /// This is byte-for-byte equivalent to calling [`next_arrival`]
-    /// `n` times: the per-draw RNG consumption order is identical (one
-    /// `f64` per Poisson gap, none for traces), so any fingerprint that
-    /// depends on RNG interleaving is unchanged. Event-driven drivers
-    /// use it to refill an arrival calendar without touching the stream
-    /// once per event.
-    ///
-    /// [`next_arrival`]: ArrivalStream::next_arrival
-    pub fn next_batch<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R, out: &mut Vec<u64>) {
-        out.reserve(n);
-        match &self.process {
-            ArrivalProcess::Poisson { mean_gap } => {
-                for _ in 0..n {
-                    let u: f64 = rng.random();
-                    self.clock += -mean_gap * (1.0 - u).ln();
-                    out.push(self.clock as u64);
-                }
-            }
-            ArrivalProcess::Trace { gaps } => {
-                for _ in 0..n {
-                    let gap = gaps[self.index % gaps.len()];
-                    self.index += 1;
-                    self.clock += gap as f64;
-                    out.push(self.clock as u64);
-                }
-            }
-        }
-    }
 }
 
 /// Derives a substream (or shard) seed from a base seed and two
@@ -406,45 +373,6 @@ mod tests {
         let times: Vec<u64> = (0..6).map(|_| stream.next_arrival(&mut rng)).collect();
         // Gaps 5, 0, 10 cycle: 5, 5, 15, 20, 20, 30.
         assert_eq!(times, vec![5, 5, 15, 20, 20, 30]);
-    }
-
-    #[test]
-    fn batched_draws_match_serial_draws_bit_for_bit() {
-        // next_batch must consume the RNG in the same per-draw order as
-        // repeated next_arrival calls: same seed, same arrival times,
-        // and the RNGs end in the same state.
-        for process in [
-            ArrivalProcess::Poisson { mean_gap: 40.0 },
-            ArrivalProcess::Trace {
-                gaps: vec![5, 0, 10, 3],
-            },
-        ] {
-            let mut serial_rng = StdRng::seed_from_u64(9);
-            let mut batch_rng = StdRng::seed_from_u64(9);
-            let mut serial = process.stream();
-            let mut batch = process.stream();
-            let expect: Vec<u64> = (0..100)
-                .map(|_| serial.next_arrival(&mut serial_rng))
-                .collect();
-            let mut got = Vec::new();
-            batch.next_batch(37, &mut batch_rng, &mut got);
-            batch.next_batch(63, &mut batch_rng, &mut got);
-            assert_eq!(got, expect, "{process:?}");
-            let s: u64 = serial_rng.random();
-            let b: u64 = batch_rng.random();
-            assert_eq!(s, b, "RNG state diverged for {process:?}");
-        }
-    }
-
-    #[test]
-    fn batch_appends_without_clearing() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut stream = ArrivalProcess::Trace { gaps: vec![2] }.stream();
-        let mut out = vec![99];
-        stream.next_batch(2, &mut rng, &mut out);
-        assert_eq!(out, vec![99, 2, 4]);
-        stream.next_batch(0, &mut rng, &mut out);
-        assert_eq!(out, vec![99, 2, 4], "n = 0 is a no-op");
     }
 
     #[test]

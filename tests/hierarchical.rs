@@ -1,6 +1,7 @@
 //! Hierarchical two-level scheduling acceptance: the static top level
-//! is bit-identical to the sharded engine (and, at one group, to the
-//! unsharded driver pinned by `tests/open_system.rs`), outcomes are
+//! is bit-identical at every epoch length to the fixed partition run as
+//! one unbounded epoch (and, at one group, to the unsharded driver
+//! pinned by `tests/open_system.rs`), outcomes are
 //! thread-count invariant, and the desire feedback beats the fixed
 //! partition under skewed arrivals.
 //!
@@ -15,8 +16,8 @@ use abg::experiments::{
     OpenSystemConfig,
 };
 use abg::queue::{
-    run_open_hierarchical_with_threads, run_open_sharded_with_threads, HierOpenConfig, OpenConfig,
-    OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig,
+    ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, GroupPolicy, RequestCalculator, StaticEqui};
@@ -30,9 +31,10 @@ use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
 const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
 
 /// `open_system_sweep` of the smoke config at `groups = 4` with the
-/// static top level — bit-identical to `shards = 4` by construction
-/// (the test below checks that equality too; this constant pins both
-/// paths against silent drift).
+/// static top level — bit-identical to the same partition run as one
+/// unbounded epoch (`open --shards 4`) by construction (the test below
+/// checks that equality too; this constant pins both paths against
+/// silent drift).
 const OPEN_SMOKE_HIER_STATIC_G4: u64 = 0x53e9b7f79ac798f2;
 
 fn smoke_with_groups(groups: u32, policy: GroupPolicy) -> OpenSystemConfig {
@@ -57,12 +59,12 @@ fn one_group_hier_sweep_matches_the_unsharded_golden() {
 fn static_four_group_sweep_matches_golden_and_the_sharded_engine() {
     let rows = open_system_sweep(&smoke_with_groups(4, GroupPolicy::Static));
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE_HIER_STATIC_G4);
-    let mut sharded = OpenSystemConfig::smoke();
-    sharded.shards = 4;
+    let mut sharded = smoke_with_groups(4, GroupPolicy::Static);
+    sharded.realloc_epoch = u64::MAX;
     assert_eq!(
         open_fingerprint(&open_system_sweep(&sharded)),
         OPEN_SMOKE_HIER_STATIC_G4,
-        "shards = 4 and static groups = 4 must share one fingerprint"
+        "the unbounded epoch and 50-quantum epochs must share one fingerprint"
     );
 }
 
@@ -119,16 +121,15 @@ fn run_hier(
     )
 }
 
+/// The fixed partition: the static top level run as one unbounded
+/// epoch, so no barrier ever slices a group's loop.
 fn run_sharded(cfg: &OpenConfig, shards: u32, threads: usize) -> OpenOutcome {
-    run_open_sharded_with_threads(
-        &ShardedOpenConfig {
-            open: cfg.clone(),
-            shards,
-            routing: ShardRouting::RoundRobin,
-        },
-        DynamicEquiPartition::new,
-        make_executor,
-        || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(0.2)) },
+    run_hier(
+        cfg,
+        shards,
+        ShardRouting::RoundRobin,
+        u64::MAX,
+        GroupPolicy::Static,
         threads,
     )
 }
@@ -138,8 +139,9 @@ fn static_top_level_is_bit_identical_to_the_sharded_engine() {
     // The acceptance anchor at the driver level: a top level that
     // never resizes anyone must be invisible — every group's loop is
     // sliced at epoch boundaries but replays the identical schedule,
-    // so the merged outcome equals the fixed-partition sharded engine
-    // for every shard count, thread count and epoch length.
+    // so the merged outcome equals the fixed partition run as one
+    // unbounded epoch for every group count, thread count and epoch
+    // length.
     let cfg = open_config(0.5);
     for shards in [1u32, 2, 4, 8] {
         let baseline = run_sharded(&cfg, shards, 1);

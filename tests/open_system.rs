@@ -9,11 +9,11 @@
 
 use abg::experiments::{open_fingerprint, open_system_sweep, OpenSystemConfig};
 use abg::queue::{
-    run_open_sharded_with_threads, run_open_system, OpenConfig, OpenOutcome, SaturationConfig,
-    ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, run_open_system, HierOpenConfig, OpenConfig, OpenOutcome,
+    SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, AGreedy, RequestCalculator};
+use abg_control::{AControl, AGreedy, RequestCalculator, StaticEqui};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
@@ -23,10 +23,9 @@ const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
 
 #[test]
 fn smoke_open_sweep_matches_golden() {
-    // The sweep now routes every point through the sharded engine with
-    // the presets' `shards = 1`, which delegates verbatim to the
-    // unsharded event-driven driver — this golden staying pinned IS the
-    // bit-identity check for that delegation.
+    // The presets' `groups = 1` runs every point through the
+    // unpartitioned event-driven driver — the shared-RNG arrival source
+    // over the crate's one event loop.
     let rows = open_system_sweep(&OpenSystemConfig::smoke());
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE);
 }
@@ -89,12 +88,16 @@ fn run_with(cfg: &OpenConfig, abg_controller: bool) -> OpenOutcome {
     )
 }
 
+/// A fixed partition into `shards` groups: the static top level run
+/// as one unbounded epoch.
 fn run_sharded(cfg: &OpenConfig, shards: u32, threads: usize) -> OpenOutcome {
-    run_open_sharded_with_threads(
-        &ShardedOpenConfig {
+    run_open_hierarchical_with_threads(
+        &HierOpenConfig {
             open: cfg.clone(),
-            shards,
+            groups: shards,
             routing: ShardRouting::RoundRobin,
+            realloc_epoch: u64::MAX,
+            group_floor: 1,
         },
         DynamicEquiPartition::new,
         |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
@@ -106,13 +109,14 @@ fn run_sharded(cfg: &OpenConfig, shards: u32, threads: usize) -> OpenOutcome {
             Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50)))
         },
         || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(0.2)) },
+        StaticEqui,
         threads,
     )
 }
 
 #[test]
 fn sharded_outcome_is_identical_for_every_thread_count() {
-    // The acceptance property of the sharded engine: at a fixed shard
+    // The acceptance property of the fixed partition: at a fixed group
     // count the merged outcome is a pure function of the configuration
     // — the worker pool's size and schedule must never show through.
     let cfg = driver_config(0.5);
