@@ -597,7 +597,7 @@ fn bench_json(
     mode: &str,
     cfg: &abg::experiments::KernelBenchConfig,
     results: &[abg::experiments::KernelResult],
-    speedup: Option<f64>,
+    ratios: &[abg::experiments::KernelRatio],
 ) -> String {
     let num = |x: f64| {
         if x.is_finite() {
@@ -631,12 +631,11 @@ fn bench_json(
         ));
     }
     s.push_str("  ],\n");
-    s.push_str("  \"derived\": {\"chain_macro_over_reference_steps_per_sec\": ");
-    match speedup {
-        Some(x) => s.push_str(&num(x)),
-        None => s.push_str("null"),
-    }
-    s.push_str("}\n}\n");
+    let derived: Vec<String> = ratios
+        .iter()
+        .map(|r| format!("\"{}\": {}", r.key(), r.ratio.map_or("null".into(), num)))
+        .collect();
+    s.push_str(&format!("  \"derived\": {{{}}}\n}}\n", derived.join(", ")));
     s
 }
 
@@ -733,7 +732,7 @@ fn bench(opts: &Options) -> Result<(), String> {
         cfg.min_wall_ms = cfg.min_wall_ms.max(100);
     }
     let results = experiments::run_kernel_suite(&cfg);
-    let speedup = experiments::kernel_speedup(&results, "chain_macro", "chain_reference");
+    let ratios = experiments::kernel_speedup(&results);
     let mut t = Table::new(&[
         "kernel",
         "iters",
@@ -771,17 +770,20 @@ fn bench(opts: &Options) -> Result<(), String> {
         opts,
     );
     if !opts.csv {
-        match speedup {
-            Some(s) => println!(
-                "macro-stepping kernel vs clone-and-rescan reference on the serial chain: {s:.2}x steps/s"
-            ),
-            None => println!("chain speedup unavailable (reference kernel did no steps)"),
+        for r in &ratios {
+            match r.ratio {
+                Some(x) => println!("{} vs {}: {x:.2}x steps/s", r.optimised, r.reference),
+                None => println!(
+                    "{} vs {}: unavailable (reference kernel missing or did no steps)",
+                    r.optimised, r.reference
+                ),
+            }
         }
         println!();
     }
     if opts.json {
         let path = "BENCH_kernels.json";
-        std::fs::write(path, bench_json(mode, &cfg, &results, speedup))
+        std::fs::write(path, bench_json(mode, &cfg, &results, &ratios))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
@@ -1026,10 +1028,18 @@ mod tests {
             fake_result("chain_macro", 123456.789),
             fake_result("chain_reference", 500.0),
         ];
-        let json = bench_json("smoke", &cfg, &results, Some(2.0));
+        let json = bench_json(
+            "smoke",
+            &cfg,
+            &results,
+            &abg::experiments::kernel_speedup(&results),
+        );
         let got = baseline_steps_per_sec(&json, "chain_macro").unwrap();
         assert!((got - 123456.789).abs() < 1e-2);
         assert!(baseline_steps_per_sec(&json, "no_such_kernel").is_none());
+        // Every reference pair gets a key; pairs the run lacks are null.
+        assert!(json.contains("\"chain_macro_over_reference_steps_per_sec\": 246.914"));
+        assert!(json.contains("\"open_event_over_reference_steps_per_sec\": null"));
     }
 
     /// A full result set for every gated kernel at the given fraction of
@@ -1055,7 +1065,7 @@ mod tests {
         let dir = std::env::temp_dir().join("abg_bench_check_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("baseline.json");
-        std::fs::write(&path, bench_json("smoke", &cfg, &baseline, None)).unwrap();
+        std::fs::write(&path, bench_json("smoke", &cfg, &baseline, &[])).unwrap();
         let path = path.to_str().unwrap();
 
         // At 71% of baseline: passes. At 69%: trips.

@@ -1,19 +1,24 @@
 //! The kernel benchmark trajectory suite: wall-clock throughput of the
 //! hot simulation loops, measured the same way from the CLI (`abg-cli
-//! bench`), the Criterion benches, and CI smoke runs.
+//! bench`) and CI smoke runs.
 //!
 //! Each kernel drives one hot path end to end and reports *operations*
 //! (tasks executed, or jobs simulated for the composite kernels) and
-//! *simulated steps* per second. The `chain_macro` / `chain_reference`
-//! pair measures the incremental-span + macro-stepping kernel against
-//! the legacy clone-and-rescan kernel preserved in
-//! [`abg_sched::ReferenceExecutor`] — the before/after of the
-//! `O(T∞)`-per-quantum → `O(work done this quantum)` rewrite.
+//! *simulated steps* per second. [`REFERENCE_PAIRS`] pairs optimised
+//! kernels with reference kernels that run the same inputs through an
+//! oracle: [`abg_sched::ReferenceExecutor`] (the legacy per-step,
+//! clone-and-rescan executor) for the serial chain and the two
+//! fork-join shapes, and [`abg_queue::ReferenceOpenDriver`] (the
+//! quantum-by-quantum open-system loop) for `open_event`. Each pair
+//! does identical simulated work, so [`kernel_speedup`]'s ratios are
+//! the in-process before/after of each rewrite, independent of how
+//! fast the machine is.
 
 use super::single_job::{single_job_sweep_with_steps, SingleJobSweepConfig};
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, ConstantRequest};
 use abg_dag::{generate, LeveledJob, Phase, PhasedJob};
+use abg_queue::ReferenceOpenDriver;
 use abg_sched::{
     BGreedyExecutor, JobExecutor, LeveledExecutor, OwnedBGreedyExecutor, PipelinedExecutor,
     ReferenceBGreedyExecutor,
@@ -23,7 +28,6 @@ use abg_workload::{JobSetSpec, ReleaseSchedule, WorkflowKind};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -269,6 +273,60 @@ where
     }
 }
 
+/// Runs one executor over its job to completion at a fixed allotment
+/// and quantum length, rewinding it first, and returns `(work, steps)`.
+fn run_to_completion(ex: &mut impl JobExecutor, allotment: u32, quantum: u64) -> (u64, u64) {
+    assert!(ex.try_reset(), "kernel executors rewind in place");
+    while !ex.is_complete() {
+        ex.run_quantum(allotment, quantum);
+    }
+    (ex.completed_work(), ex.elapsed_steps())
+}
+
+/// Executor factory of the homogeneous open kernels: every arrival runs
+/// `job`, so a recycled executor is rewound and reused — the
+/// steady-state loop allocates nothing per arrival.
+fn recycling_factory(
+    job: &Arc<PhasedJob>,
+) -> impl Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync + '_
+{
+    move |_rng, recycled| {
+        if let Some(mut ex) = recycled {
+            if ex.try_reset() {
+                return ex;
+            }
+        }
+        Box::new(PipelinedExecutor::new(Arc::clone(job)))
+    }
+}
+
+/// Measures an open-system kernel whose body runs one simulation at a
+/// stable load. Ops are arrivals admitted and steps are `steps` of the
+/// steady report; the fixed seed keeps both iter-constant, so the peak
+/// population is read off the final repetition. Every boxed open driver
+/// stores the same erased slot types, so one footprint figure covers
+/// all of them.
+fn measure_open(
+    kernel: &str,
+    min_wall_ms: u64,
+    steps: impl Fn(&abg_queue::SteadyStats) -> u64,
+    mut body: impl FnMut() -> abg_queue::OpenOutcome,
+) -> KernelResult {
+    let mut peak = 0;
+    let mut res = measure(kernel, min_wall_ms, || {
+        let out = body();
+        let stats = out.steady().expect("kernel rho must be stable");
+        peak = stats.peak_jobs_in_system;
+        (stats.arrivals, steps(stats))
+    });
+    res.peak_jobs_in_system = peak;
+    res.bytes_per_live_job = live_job_footprint::<
+        Box<dyn JobExecutor + Send>,
+        Box<dyn abg_control::RequestCalculator + Send>,
+    >() as u64;
+    res
+}
+
 /// One repetition of a churn kernel: `n_jobs` short barrier-leveled
 /// jobs (width 4, 200 levels, `T1 = 800`) on a deterministic arrival
 /// grid at effective-server utilization 0.85 — each job asks for 2
@@ -331,43 +389,38 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     let q = cfg.chain_quantum;
     let mut chain_ex = BGreedyExecutor::new(&chain);
     results.push(measure("chain_macro", ms, || {
-        chain_ex.reset();
-        while !chain_ex.is_complete() {
-            chain_ex.run_quantum(1, q);
-        }
-        (chain_ex.completed_work(), chain_ex.elapsed_steps())
+        run_to_completion(&mut chain_ex, 1, q)
     }));
     let mut chain_ref = ReferenceBGreedyExecutor::new(&chain);
     results.push(measure("chain_reference", ms, || {
-        chain_ref.reset();
-        while !chain_ref.is_complete() {
-            chain_ref.run_quantum(1, q);
-        }
-        (chain_ref.completed_work(), chain_ref.elapsed_steps())
+        run_to_completion(&mut chain_ref, 1, q)
     }));
 
-    // Pipelined fork-join bundle: wide, constant parallelism.
+    // Pipelined fork-join bundle: wide, constant parallelism. The
+    // reference runs the same dag per step with an O(T∞) rescan at
+    // every quantum boundary.
     let bundle = generate::chain_bundle(cfg.bundle_width, cfg.bundle_levels);
     let width = cfg.bundle_width;
     let mut bundle_ex = BGreedyExecutor::new(&bundle);
     results.push(measure("forkjoin_bundle", ms, || {
-        bundle_ex.reset();
-        while !bundle_ex.is_complete() {
-            bundle_ex.run_quantum(width, 100);
-        }
-        (bundle_ex.completed_work(), bundle_ex.elapsed_steps())
+        run_to_completion(&mut bundle_ex, width, 100)
+    }));
+    let mut bundle_ref = ReferenceBGreedyExecutor::new(&bundle);
+    results.push(measure("forkjoin_bundle_reference", ms, || {
+        run_to_completion(&mut bundle_ref, width, 100)
     }));
 
     // Binary fork tree: parallelism doubling every level, successor
-    // relaxation dominated — the wide-frontier bulk path's home turf.
+    // relaxation dominated — the wide-frontier bulk path's home turf,
+    // against the reference's one-task-at-a-time ready queue.
     let tree = generate::binary_fork_tree(cfg.tree_depth);
     let mut tree_ex = BGreedyExecutor::new(&tree);
     results.push(measure("forkjoin_tree", ms, || {
-        tree_ex.reset();
-        while !tree_ex.is_complete() {
-            tree_ex.run_quantum(32, 100);
-        }
-        (tree_ex.completed_work(), tree_ex.elapsed_steps())
+        run_to_completion(&mut tree_ex, 32, 100)
+    }));
+    let mut tree_ref = ReferenceBGreedyExecutor::new(&tree);
+    results.push(measure("forkjoin_tree_reference", ms, || {
+        run_to_completion(&mut tree_ref, 32, 100)
     }));
 
     // Phased (serial/parallel alternation) under the pipelined
@@ -380,26 +433,16 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
             })
             .collect(),
     );
-    let pw = cfg.phased_width as u32;
     let mut phased_ex = PipelinedExecutor::new(&phased);
     results.push(measure("phased_pipelined", ms, || {
-        phased_ex.reset();
-        while !phased_ex.is_complete() {
-            phased_ex.run_quantum(pw, 100);
-        }
-        (phased_ex.completed_work(), phased_ex.elapsed_steps())
+        run_to_completion(&mut phased_ex, cfg.phased_width as u32, 100)
     }));
 
     // Barrier-leveled constant job under the leveled fast-forward.
     let leveled = LeveledJob::constant(cfg.leveled_width, cfg.leveled_levels);
-    let lw = cfg.leveled_width as u32;
     let mut leveled_ex = LeveledExecutor::new(&leveled);
     results.push(measure("leveled_barrier", ms, || {
-        leveled_ex.reset();
-        while !leveled_ex.is_complete() {
-            leveled_ex.run_quantum(lw, 100);
-        }
-        (leveled_ex.completed_work(), leveled_ex.elapsed_steps())
+        run_to_completion(&mut leveled_ex, cfg.leveled_width as u32, 100)
     }));
 
     // Weighted wide frontier: the same bundle shape as
@@ -417,14 +460,9 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         base.with_weights(weights)
             .expect("half-integer weights are finite and positive")
     };
-    let wwidth = cfg.bundle_width;
     let mut weighted_ex = BGreedyExecutor::new(&weighted);
     results.push(measure("weighted_frontier", ms, || {
-        weighted_ex.reset();
-        while !weighted_ex.is_complete() {
-            weighted_ex.run_quantum(wwidth, 100);
-        }
-        (weighted_ex.completed_work(), weighted_ex.elapsed_steps())
+        run_to_completion(&mut weighted_ex, cfg.bundle_width, 100)
     }));
 
     // Dag construction: builder ingest + CSR finalization + Kahn
@@ -515,15 +553,7 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     // seed keeps both iter-constant.
     let open_t1 = 8.0 * cfg.open_levels as f64;
     let open_job = Arc::new(PhasedJob::constant(8, cfg.open_levels));
-    // Every boxed open driver stores the same erased slot types, so one
-    // footprint figure covers the four driver kernels. The peak
-    // population is read off the final repetition's steady report — the
-    // fixed seed makes every repetition identical.
-    let boxed_footprint = live_job_footprint::<
-        Box<dyn JobExecutor + Send>,
-        Box<dyn abg_control::RequestCalculator + Send>,
-    >() as u64;
-    let peak = Cell::new(0u64);
+    let horizon = |s: &abg_queue::SteadyStats| s.horizon;
     let open_cfg = abg_queue::OpenConfig {
         processors: cfg.processors,
         quantum_len: 100,
@@ -537,36 +567,23 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         saturation: abg_queue::SaturationConfig::default(),
         seed: cfg.seed,
     };
-    let mut open_res = measure("open_system", ms, || {
-        let out = abg_queue::run_open_system(
+    results.push(measure_open("open_system", ms, horizon, || {
+        abg_queue::run_open_system(
             &open_cfg,
             DynamicEquiPartition::new(cfg.processors),
-            // Homogeneous population: every arrival runs the same job
-            // structure, so a recycled executor is rewound and reused —
-            // the steady-state loop allocates nothing per arrival.
-            |_rng, recycled| {
-                if let Some(mut ex) = recycled {
-                    if ex.try_reset() {
-                        return ex;
-                    }
-                }
-                Box::new(PipelinedExecutor::new(Arc::clone(&open_job)))
-            },
+            recycling_factory(&open_job),
             || Box::new(AControl::new(0.2)),
-        );
-        let stats = out.steady().expect("kernel rho must be stable");
-        peak.set(stats.peak_jobs_in_system);
-        (stats.arrivals, stats.horizon)
-    });
-    open_res.peak_jobs_in_system = peak.get();
-    open_res.bytes_per_live_job = boxed_footprint;
-    results.push(open_res);
+        )
+    }));
 
     // Composite: the same event-driven driver at high offered load —
     // the macro-stepping stress case. A double-digit population is live
     // in every frozen window, so the window bookkeeping (stability
     // checks, per-job lookahead, bulk catch-up) is priced per job
-    // rather than hidden behind idle skipping.
+    // rather than hidden behind idle skipping. Its reference runs the
+    // identical configuration through the quantum-by-quantum loop the
+    // event-driven driver replaced, which reproduces every arrival,
+    // completion and horizon bit for bit.
     let event_cfg = abg_queue::OpenConfig {
         arrivals: abg_workload::ArrivalProcess::Poisson {
             mean_gap: abg_workload::mean_gap_for_utilization(
@@ -577,27 +594,22 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         },
         ..open_cfg.clone()
     };
-    let mut event_res = measure("open_event", ms, || {
-        let out = abg_queue::run_open_system(
+    results.push(measure_open("open_event", ms, horizon, || {
+        abg_queue::run_open_system(
             &event_cfg,
             DynamicEquiPartition::new(cfg.processors),
-            |_rng, recycled| {
-                if let Some(mut ex) = recycled {
-                    if ex.try_reset() {
-                        return ex;
-                    }
-                }
-                Box::new(PipelinedExecutor::new(Arc::clone(&open_job)))
-            },
+            recycling_factory(&open_job),
             || Box::new(AControl::new(0.2)),
-        );
-        let stats = out.steady().expect("kernel rho must be stable");
-        peak.set(stats.peak_jobs_in_system);
-        (stats.arrivals, stats.horizon)
-    });
-    event_res.peak_jobs_in_system = peak.get();
-    event_res.bytes_per_live_job = boxed_footprint;
-    results.push(event_res);
+        )
+    }));
+    results.push(measure_open("open_event_reference", ms, horizon, || {
+        ReferenceOpenDriver::run(
+            &event_cfg,
+            DynamicEquiPartition::new(cfg.processors),
+            recycling_factory(&open_job),
+            || Box::new(AControl::new(0.2)),
+        )
+    }));
 
     // Composite: a fixed partition at the same offered load as
     // `open_event`, the machine split into `open_shards` independent
@@ -614,44 +626,23 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     // where windows freeze.
     let sharded_job = Arc::new(PhasedJob::constant(2, 4 * cfg.open_levels));
     let sharded_cfg = abg_queue::HierOpenConfig {
-        open: abg_queue::OpenConfig {
-            arrivals: abg_workload::ArrivalProcess::Poisson {
-                mean_gap: abg_workload::mean_gap_for_utilization(
-                    cfg.open_event_rho,
-                    cfg.processors,
-                    open_t1,
-                ),
-            },
-            ..open_cfg.clone()
-        },
+        open: event_cfg.clone(),
         groups: cfg.open_shards,
         routing: abg_queue::ShardRouting::RoundRobin,
         realloc_epoch: u64::MAX,
         group_floor: 1,
     };
-    let mut sharded_res = measure("open_sharded", ms, || {
-        let out = abg_queue::run_open_hierarchical_with_threads(
+    let committed = |s: &abg_queue::SteadyStats| s.quanta * 100;
+    results.push(measure_open("open_sharded", ms, committed, || {
+        abg_queue::run_open_hierarchical_with_threads(
             &sharded_cfg,
             DynamicEquiPartition::new,
-            |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
-                if let Some(mut ex) = recycled {
-                    if ex.try_reset() {
-                        return ex;
-                    }
-                }
-                Box::new(PipelinedExecutor::new(Arc::clone(&sharded_job)))
-            },
+            recycling_factory(&sharded_job),
             || Box::new(AControl::new(0.2)),
             abg_control::StaticEqui,
             1,
-        );
-        let stats = out.steady().expect("kernel rho must be stable");
-        peak.set(stats.peak_jobs_in_system);
-        (stats.arrivals, stats.quanta * 100)
-    });
-    sharded_res.peak_jobs_in_system = peak.get();
-    sharded_res.bytes_per_live_job = boxed_footprint;
-    results.push(sharded_res);
+        )
+    }));
 
     // Composite: the hierarchical two-level driver over the same
     // decomposition as `open_sharded`, but with the desire-proportional
@@ -667,29 +658,16 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         realloc_epoch: 64,
         ..sharded_cfg.clone()
     };
-    let mut hier_res = measure("open_hier", ms, || {
-        let out = abg_queue::run_open_hierarchical_with_threads(
+    results.push(measure_open("open_hier", ms, committed, || {
+        abg_queue::run_open_hierarchical_with_threads(
             &hier_cfg,
             DynamicEquiPartition::new,
-            |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
-                if let Some(mut ex) = recycled {
-                    if ex.try_reset() {
-                        return ex;
-                    }
-                }
-                Box::new(PipelinedExecutor::new(Arc::clone(&sharded_job)))
-            },
+            recycling_factory(&sharded_job),
             || Box::new(AControl::new(0.2)),
             abg_control::DesireProportional::new(),
             1,
-        );
-        let stats = out.steady().expect("kernel rho must be stable");
-        peak.set(stats.peak_jobs_in_system);
-        (stats.arrivals, stats.quanta * 100)
-    });
-    hier_res.peak_jobs_in_system = peak.get();
-    hier_res.bytes_per_live_job = boxed_footprint;
-    results.push(hier_res);
+        )
+    }));
 
     // Composite: the open-system driver under weighted workflow
     // arrivals — every arrival builds a fresh Montage-like dag (stage
@@ -715,22 +693,16 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         measured_jobs: cfg.workflow_jobs,
         ..open_cfg.clone()
     };
-    let mut wf_res = measure("workflow_open", ms, || {
-        let out = abg_queue::run_open_system(
+    results.push(measure_open("workflow_open", ms, horizon, || {
+        abg_queue::run_open_system(
             &wf_cfg,
             DynamicEquiPartition::new(cfg.processors),
             // Heterogeneous dags: recycling is declined, every arrival
             // pays its own build — deliberately part of the price.
             |rng, _recycled| Box::new(OwnedBGreedyExecutor::new(wf_kind.generate(wf_scale, rng))),
             || Box::new(AControl::new(0.2)),
-        );
-        let stats = out.steady().expect("kernel rho must be stable");
-        peak.set(stats.peak_jobs_in_system);
-        (stats.arrivals, stats.horizon)
-    });
-    wf_res.peak_jobs_in_system = peak.get();
-    wf_res.bytes_per_live_job = boxed_footprint;
-    results.push(wf_res);
+        )
+    }));
 
     // Storage-layer kernels: the completion-heavy churn regime. Short
     // jobs on a dense arrival grid, the whole calendar admitted up
@@ -810,17 +782,57 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     results
 }
 
-/// Throughput ratio `numerator.steps_per_sec / denominator.steps_per_sec`
-/// between two kernels of a suite run, by name (`None` if either is
-/// missing or the denominator did no steps).
-pub fn kernel_speedup(results: &[KernelResult], numerator: &str, denominator: &str) -> Option<f64> {
-    let num = results.iter().find(|r| r.kernel == numerator)?;
-    let den = results.iter().find(|r| r.kernel == denominator)?;
-    if den.steps_per_sec > 0.0 {
-        Some(num.steps_per_sec / den.steps_per_sec)
-    } else {
-        None
+/// The `(optimised, reference)` kernel pairs of the suite. Each
+/// reference kernel runs its partner's inputs through an oracle that is
+/// bit-identical in every simulated result, so the pair does the same
+/// simulated work and only the cost model differs.
+pub const REFERENCE_PAIRS: [(&str, &str); 4] = [
+    ("chain_macro", "chain_reference"),
+    ("forkjoin_tree", "forkjoin_tree_reference"),
+    ("forkjoin_bundle", "forkjoin_bundle_reference"),
+    ("open_event", "open_event_reference"),
+];
+
+/// One derived throughput ratio of a suite run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelRatio {
+    /// The optimised kernel (numerator).
+    pub optimised: &'static str,
+    /// Its reference kernel (denominator).
+    pub reference: &'static str,
+    /// `optimised.steps_per_sec / reference.steps_per_sec`; `None` if
+    /// either kernel is missing or the reference did no steps.
+    pub ratio: Option<f64>,
+}
+
+impl KernelRatio {
+    /// The ratio's key under `derived` in the bench JSON, e.g.
+    /// `chain_macro_over_reference_steps_per_sec`.
+    pub fn key(&self) -> String {
+        format!("{}_over_reference_steps_per_sec", self.optimised)
     }
+}
+
+/// The steps-per-second ratio of every [`REFERENCE_PAIRS`] entry, in
+/// table order.
+pub fn kernel_speedup(results: &[KernelResult]) -> Vec<KernelRatio> {
+    let steps_per_sec = |name: &str| {
+        results
+            .iter()
+            .find(|r| r.kernel == name)
+            .map(|r| r.steps_per_sec)
+    };
+    REFERENCE_PAIRS
+        .iter()
+        .map(|&(optimised, reference)| KernelRatio {
+            optimised,
+            reference,
+            ratio: match (steps_per_sec(optimised), steps_per_sec(reference)) {
+                (Some(num), Some(den)) if den > 0.0 => Some(num / den),
+                _ => None,
+            },
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -837,7 +849,9 @@ mod tests {
                 "chain_macro",
                 "chain_reference",
                 "forkjoin_bundle",
+                "forkjoin_bundle_reference",
                 "forkjoin_tree",
+                "forkjoin_tree_reference",
                 "phased_pipelined",
                 "leveled_barrier",
                 "weighted_frontier",
@@ -847,6 +861,7 @@ mod tests {
                 "multiprogrammed_deq",
                 "open_system",
                 "open_event",
+                "open_event_reference",
                 "open_sharded",
                 "open_hier",
                 "workflow_open",
@@ -895,26 +910,33 @@ mod tests {
         }
     }
 
+    /// Every ratio compares the same work: each optimised kernel and
+    /// its reference report equal ops and steps per iteration, and the
+    /// speedup table yields one ratio per pair.
     #[test]
-    fn chain_kernels_do_identical_simulated_work() {
+    fn reference_pairs_do_identical_simulated_work() {
         let cfg = KernelBenchConfig::smoke();
         let results = run_kernel_suite(&cfg);
         let per_iter = |name: &str| {
             let r = results.iter().find(|r| r.kernel == name).unwrap();
             (r.ops / r.iters, r.steps / r.iters)
         };
-        // Same job, same schedule: identical per-iteration work and
-        // steps; only wall-clock differs.
-        assert_eq!(per_iter("chain_macro"), per_iter("chain_reference"));
+        for (optimised, reference) in REFERENCE_PAIRS {
+            assert_eq!(
+                per_iter(optimised),
+                per_iter(reference),
+                "{optimised} vs {reference}"
+            );
+        }
         assert_eq!(per_iter("chain_macro").0, cfg.chain_len as u64);
-    }
 
-    #[test]
-    fn speedup_helper_finds_named_kernels() {
-        let results = run_kernel_suite(&KernelBenchConfig::smoke());
-        let s = kernel_speedup(&results, "chain_macro", "chain_reference");
-        assert!(s.is_some());
-        assert!(s.unwrap() > 0.0);
-        assert!(kernel_speedup(&results, "chain_macro", "nope").is_none());
+        let ratios = kernel_speedup(&results);
+        assert_eq!(ratios.len(), REFERENCE_PAIRS.len());
+        assert_eq!(ratios[0].key(), "chain_macro_over_reference_steps_per_sec");
+        for r in &ratios {
+            assert!(r.ratio.is_some_and(|x| x > 0.0), "{}", r.key());
+        }
+        let missing = kernel_speedup(&results[..1]);
+        assert!(missing.iter().all(|r| r.ratio.is_none()));
     }
 }

@@ -1,10 +1,11 @@
 //! Experiment harness: one function per figure/analysis of the paper's
-//! evaluation, shared by the CLI, the benches and the integration tests.
+//! evaluation, shared by the CLI, the end-to-end benchmark and the
+//! integration tests.
 //!
 //! Every experiment takes an explicit config with a deterministic seed
 //! and returns plain data rows, so the same code regenerates the paper's
 //! figures at paper scale (`*Config::paper()`) or at a scaled-down size
-//! suitable for tests and Criterion benches (`*Config::scaled()`).
+//! suitable for tests (`*Config::scaled()`).
 
 pub mod ablation;
 pub mod adaptive_quantum;
@@ -33,7 +34,9 @@ pub use allocator_policies::{
 };
 pub use fingerprint::{load_fingerprint, open_fingerprint, sweep_fingerprint, Fingerprint};
 pub use hierarchical::{hierarchical_skew_sweep, HierarchicalConfig, HierarchicalRow, PolicyPoint};
-pub use kernels::{kernel_speedup, run_kernel_suite, KernelBenchConfig, KernelResult};
+pub use kernels::{
+    kernel_speedup, run_kernel_suite, KernelBenchConfig, KernelRatio, KernelResult, REFERENCE_PAIRS,
+};
 pub use multiprogrammed::{multiprogrammed_sweep, LoadPoint, MultiprogrammedConfig};
 pub use open_system::{
     open_system_sweep, population_expected_work, OpenSystemConfig, OpenSystemRow, OpenWorkload,

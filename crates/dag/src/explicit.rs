@@ -17,8 +17,9 @@
 //! one offset pair and then walk a dense slice, instead of chasing a
 //! per-task heap pointer as the previous `Vec<Vec<TaskId>>` layout did.
 //!
-//! The wire format is unchanged: serde (de)serialization goes through
-//! [`DagWire`], which carries the original nested adjacency-list layout.
+//! The persistent form of a dag is the line-based dag file of
+//! `abg_workload::dagfile`, which re-validates everything it loads
+//! through [`DagBuilder`].
 
 use crate::{Level, TaskId};
 use serde::{Deserialize, Serialize};
@@ -42,9 +43,13 @@ pub enum DagError {
         /// Number of tasks that are part of (or downstream of) a cycle.
         remaining: usize,
     },
-    /// Deserialized wire data is internally inconsistent (derived fields
-    /// do not match the adjacency it carries).
-    CorruptWire,
+    /// A weight table's length differs from the dag's task count.
+    WeightCount {
+        /// Entries in the offered weight table.
+        weights: usize,
+        /// Tasks in the dag.
+        tasks: usize,
+    },
     /// A task weight is not a finite positive number (NaN, infinite,
     /// zero or negative weights would poison the span accounting).
     InvalidWeight(TaskId),
@@ -68,7 +73,9 @@ impl std::fmt::Display for DagError {
                     "precedence relation is cyclic ({remaining} tasks unordered)"
                 )
             }
-            DagError::CorruptWire => write!(f, "wire data has inconsistent derived fields"),
+            DagError::WeightCount { weights, tasks } => {
+                write!(f, "weight table has {weights} entries for {tasks} tasks")
+            }
             DagError::InvalidWeight(t) => {
                 write!(
                     f,
@@ -153,7 +160,7 @@ fn validate_weight(t: TaskId, w: f64) -> Result<(), DagError> {
 /// * `span_cost()` — the weighted span `T∞ = Σ_l level_max_cost(l)`
 ///   (the critical-path length of a level-by-level execution, and the
 ///   value every executor's accumulated quantum spans sum to).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WeightProfile {
     weights: Vec<f64>,
     costs: Vec<u64>,
@@ -481,8 +488,8 @@ impl DagBuilder {
             .edges
             .iter()
             .all(|&(from, to)| level[to.index()] == level[from.index()] + 1);
-        // A weight table of all-exactly-1.0 entries is kept (so the wire
-        // round-trip is lossless) but flagged unit, which keeps every
+        // A weight table of all-exactly-1.0 entries is kept (so a dag
+        // file round-trip is lossless) but flagged unit, which keeps every
         // executor on the unit-task fast paths.
         let unit_weight = match &self.weights {
             None => true,
@@ -514,12 +521,7 @@ impl DagBuilder {
 /// stored in CSR form — [`ExplicitDag::successors`] is a slice of one
 /// shared flat array — alongside the in-degree of each task (used by
 /// executors to track readiness) and each task's level.
-///
-/// Serde goes through [`DagWire`] (the nested adjacency-list layout of
-/// the pre-CSR implementation), so the on-wire format is independent of
-/// this in-memory representation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(into = "DagWire", try_from = "DagWire")]
 pub struct ExplicitDag {
     /// CSR offsets: successors of task `t` occupy
     /// `succ_flat[succ_off[t] .. succ_off[t + 1]]`; length `n + 1`.
@@ -623,11 +625,14 @@ impl ExplicitDag {
     /// Returns this dag with the given per-task weight table attached
     /// (replacing any existing one). The structure is untouched; only
     /// the cost tables and the unit-weight flag are recomputed. Rejects
-    /// tables of the wrong length ([`DagError::CorruptWire`]) or with
+    /// tables of the wrong length ([`DagError::WeightCount`]) or with
     /// non-finite / non-positive entries ([`DagError::InvalidWeight`]).
     pub fn with_weights(mut self, weights: Vec<f64>) -> Result<Self, DagError> {
         if weights.len() != self.num_tasks() {
-            return Err(DagError::CorruptWire);
+            return Err(DagError::WeightCount {
+                weights: weights.len(),
+                tasks: self.num_tasks(),
+            });
         }
         self.unit_weight = weights.iter().all(|&x| x == 1.0);
         self.weights = Some(Box::new(WeightProfile::new(
@@ -815,68 +820,6 @@ impl ExplicitDag {
         }
         out.push_str("}\n");
         out
-    }
-}
-
-/// The serde wire form of [`ExplicitDag`]: the nested adjacency-list
-/// field layout of the pre-CSR implementation, kept so serialized dags
-/// are stable across in-memory representation changes.
-///
-/// Conversion back into [`ExplicitDag`] re-validates the adjacency and
-/// recomputes the derived fields, rejecting wire data whose recorded
-/// derived fields disagree ([`DagError::CorruptWire`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DagWire {
-    /// Successor lists per task, in task-id order.
-    pub succs: Vec<Vec<TaskId>>,
-    /// In-degree per task.
-    pub in_degree: Vec<u32>,
-    /// Level per task.
-    pub level: Vec<Level>,
-    /// Number of tasks at each level.
-    pub level_sizes: Vec<u64>,
-    /// Reciprocal level sizes.
-    pub level_recip: Vec<f64>,
-    /// Per-task weights, when the dag carries a weight table (`None`
-    /// for unit dags, which keeps pre-weight wire data decodable).
-    pub weights: Option<Vec<f64>>,
-}
-
-impl From<ExplicitDag> for DagWire {
-    fn from(dag: ExplicitDag) -> Self {
-        DagWire {
-            succs: dag.to_adjacency(),
-            weights: dag.weights.map(|wp| wp.weights),
-            in_degree: dag.in_degree,
-            level: dag.level,
-            level_sizes: dag.level_sizes,
-            level_recip: dag.level_recip,
-        }
-    }
-}
-
-impl TryFrom<DagWire> for ExplicitDag {
-    type Error = DagError;
-
-    fn try_from(wire: DagWire) -> Result<Self, DagError> {
-        let dag = ExplicitDag::from_adjacency(wire.succs)?;
-        // The derived fields travel on the wire for the benefit of
-        // non-Rust consumers; on the way back in they must agree with
-        // what the adjacency implies.
-        if dag.in_degree != wire.in_degree
-            || dag.level != wire.level
-            || dag.level_sizes != wire.level_sizes
-            || dag.level_recip.len() != wire.level_recip.len()
-        {
-            return Err(DagError::CorruptWire);
-        }
-        // A weight table is re-validated entry by entry: non-finite or
-        // non-positive weights are typed errors here, *before* they can
-        // reach the span accounting.
-        match wire.weights {
-            None => Ok(dag),
-            Some(w) => dag.with_weights(w),
-        }
     }
 }
 
@@ -1094,30 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip_is_identity() {
-        let mut b = DagBuilder::new();
-        let a = b.add_task();
-        let x = b.add_task();
-        let y = b.add_task();
-        b.add_edge(a, y).unwrap();
-        b.add_edge(a, x).unwrap();
-        b.add_edge(x, y).unwrap();
-        let d = b.build().unwrap();
-        let wire: DagWire = d.clone().into();
-        assert_eq!(wire.succs[a.index()], vec![y, x], "insertion order kept");
-        let back = ExplicitDag::try_from(wire).unwrap();
-        assert_eq!(d, back);
-    }
-
-    #[test]
-    fn corrupt_wire_rejected() {
-        let d = chain(4);
-        let mut wire: DagWire = d.into();
-        wire.level[2] = 7;
-        assert_eq!(ExplicitDag::try_from(wire), Err(DagError::CorruptWire));
-    }
-
-    #[test]
     fn weighted_chain_costs_and_spans() {
         let mut b = DagBuilder::new();
         let t0 = b.add_weighted_task(2.0).unwrap();
@@ -1230,41 +1149,30 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip_preserves_weights() {
-        let mut b = DagBuilder::new();
-        let t0 = b.add_weighted_task(2.5).unwrap();
-        let t1 = b.add_weighted_task(1.0).unwrap();
-        b.add_edge(t0, t1).unwrap();
-        let d = b.build().unwrap();
-        let wire: DagWire = d.clone().into();
-        assert_eq!(wire.weights.as_deref(), Some(&[2.5, 1.0][..]));
-        let back = ExplicitDag::try_from(wire).unwrap();
-        assert_eq!(d, back);
-        assert_eq!(back.task_cost(t0), 3);
-    }
-
-    #[test]
-    fn wire_decode_rejects_invalid_weights_with_the_typed_error() {
+    fn with_weights_rejects_bad_tables_with_the_typed_errors() {
         let d = chain(3);
-        let mut wire: DagWire = d.clone().into();
-        wire.weights = Some(vec![1.0, f64::NAN, 1.0]);
-        let err = ExplicitDag::try_from(wire).unwrap_err();
+        let err = d.clone().with_weights(vec![1.0, 2.0]).unwrap_err();
+        assert_eq!(
+            err,
+            DagError::WeightCount {
+                weights: 2,
+                tasks: 3
+            }
+        );
+        assert_eq!(err.to_string(), "weight table has 2 entries for 3 tasks");
+        let err = d
+            .clone()
+            .with_weights(vec![1.0, f64::NAN, 1.0])
+            .unwrap_err();
         assert_eq!(err, DagError::InvalidWeight(TaskId(1)));
         assert_eq!(
             err.to_string(),
             "invalid weight for task t1: must be finite and positive"
         );
-        let mut wire: DagWire = d.clone().into();
-        wire.weights = Some(vec![1.0, -3.0, 1.0]);
         assert_eq!(
-            ExplicitDag::try_from(wire),
+            d.with_weights(vec![1.0, -3.0, 1.0]),
             Err(DagError::InvalidWeight(TaskId(1)))
         );
-        // A table of the wrong length is corrupt wire data, not a
-        // weight error.
-        let mut wire: DagWire = d.into();
-        wire.weights = Some(vec![1.0, 2.0]);
-        assert_eq!(ExplicitDag::try_from(wire), Err(DagError::CorruptWire));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod phased;
 pub mod profile;
 pub mod stats;
 
-pub use explicit::{DagBuilder, DagError, DagWire, ExplicitDag, WeightProfile};
+pub use explicit::{DagBuilder, DagError, ExplicitDag, WeightProfile};
 pub use generate::ForkJoinSpec;
 pub use leveled::{LeveledJob, Phase};
 pub use phased::PhasedJob;

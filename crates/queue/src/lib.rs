@@ -34,9 +34,10 @@
 //!   slot-ordered merge of per-group samples;
 //! * [`saturation`] — the [`SaturationDetector`] queue-length trend
 //!   test that aborts never-steady runs (ρ ≥ 1) instead of hanging;
-//! * `reference` (tests / `test-support` feature only) — the legacy
-//!   quantum-by-quantum loop, kept as the differential-testing ground
-//!   truth for the event-driven driver.
+//! * [`reference`](mod@reference) — the legacy quantum-by-quantum loop
+//!   ([`ReferenceOpenDriver`]), kept as the differential-testing ground
+//!   truth for the event-driven driver and as the baseline of the
+//!   `open_event` / `open_event_reference` kernel ratio.
 //!
 //! **One loop, two arrival sources.** Both drivers run the same
 //! resumable event loop (admission, idle skip, real quantum, frozen
@@ -91,7 +92,6 @@ pub mod events;
 pub mod hier;
 #[cfg(test)]
 mod lockstep;
-#[cfg(any(test, feature = "test-support"))]
 pub mod reference;
 pub mod routing;
 pub mod saturation;
@@ -105,7 +105,6 @@ pub use hier::{
     run_open_hierarchical, run_open_hierarchical_detailed, run_open_hierarchical_with_threads,
     GroupSummary, HierOpenConfig,
 };
-#[cfg(any(test, feature = "test-support"))]
 pub use reference::ReferenceOpenDriver;
 pub use routing::ShardRouting;
 pub use saturation::{SaturationConfig, SaturationDetector, SaturationReason};

@@ -7,12 +7,15 @@
 //! it for speed, under the contract that every observable —
 //! fingerprints, completion order, steady-state statistics, saturation
 //! reports — stays **bit-identical**. This module preserves the old
-//! loop verbatim so that contract is checkable by differential tests
-//! and benchmarkable by the `open_event_kernel` Criterion group, rather
-//! than an article of faith.
+//! loop verbatim so that contract is checkable by differential tests,
+//! rather than an article of faith, and so the kernel suite can price
+//! the event-driven driver against it: `open_event_reference` runs this
+//! driver on the `open_event` kernel's configuration, and the suite
+//! reports their steps-per-second ratio under `derived`.
 //!
-//! Compiled only for tests and under the `test-support` feature; it is
-//! not part of the production API.
+//! Like [`abg_sched::ReferenceExecutor`], it is always compiled and
+//! public, but it exists as an oracle and a baseline: production runs
+//! use [`run_open_system`](crate::run_open_system).
 
 use crate::driver::{OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
 use crate::saturation::{SaturationDetector, SaturationReason};

@@ -19,7 +19,8 @@
 //!   before any `weight` or `edge` line, exactly once. Task ids are
 //!   `u32`, so `n` is at most 2^32.
 //! * `weight <id> <w>` — sets one task's weight (`f64`, finite and
-//!   positive; validated by the same rule as `DagWire` decoding).
+//!   positive; validated by the same rule as
+//!   [`DagBuilder::set_weight`](abg_dag::DagBuilder::set_weight)).
 //!   Omitted tasks keep weight 1. Files with no weight lines load as
 //!   unit dags with no weight table at all.
 //! * `edge <from> <to>` — one precedence edge.

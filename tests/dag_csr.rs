@@ -1,9 +1,10 @@
 //! Property tests for the CSR dag storage: successor iteration must
 //! reproduce builder insertion semantics exactly, duplicate edges must
-//! be rejected in O(1) without corrupting state, and the adjacency-list
-//! wire form must round-trip losslessly.
+//! be rejected in O(1) without corrupting state, and both the dag file
+//! and the adjacency-list form must round-trip losslessly.
 
-use abg_dag::{DagBuilder, DagError, DagWire, ExplicitDag, TaskId};
+use abg_dag::{DagBuilder, DagError, ExplicitDag, TaskId};
+use abg_workload::dagfile::{parse_dag, write_dag};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -77,14 +78,14 @@ proptest! {
         prop_assert_eq!(dag.to_adjacency(), model);
     }
 
-    /// The wire form (nested adjacency lists plus derived fields) and
-    /// the plain adjacency conversion both round-trip to an equal dag.
+    /// The dag file and the plain adjacency conversion both round-trip
+    /// to an equal dag: same CSR successor order, same derived in-degree,
+    /// level and level-size tables.
     #[test]
-    fn wire_and_adjacency_round_trip(raw in prop::collection::vec((0u32..N, 0u32..N), 0..60)) {
+    fn dag_file_and_adjacency_round_trip(raw in prop::collection::vec((0u32..N, 0u32..N), 0..60)) {
         let (b, _, _) = ingest(&raw);
         let dag = b.build().unwrap();
-        let wire: DagWire = dag.clone().into();
-        let back = ExplicitDag::try_from(wire).unwrap();
+        let back = parse_dag(&write_dag(&dag)).unwrap();
         prop_assert_eq!(&back, &dag);
         let back = ExplicitDag::from_adjacency(dag.to_adjacency()).unwrap();
         prop_assert_eq!(&back, &dag);
