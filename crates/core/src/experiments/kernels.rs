@@ -7,9 +7,10 @@
 //! *simulated steps* per second. [`REFERENCE_PAIRS`] pairs optimised
 //! kernels with reference kernels that run the same inputs through an
 //! oracle: [`abg_sched::ReferenceExecutor`] (the legacy per-step,
-//! clone-and-rescan executor) for the serial chain and the two
-//! fork-join shapes, and [`abg_queue::ReferenceOpenDriver`] (the
-//! quantum-by-quantum open-system loop) for `open_event`. Each pair
+//! clone-and-rescan executor) for the serial chain, the two fork-join
+//! shapes and the weighted bundle, and
+//! [`abg_queue::ReferenceOpenDriver`] (the quantum-by-quantum
+//! open-system loop) for `open_event`. Each pair
 //! does identical simulated work, so [`kernel_speedup`]'s ratios are
 //! the in-process before/after of each rewrite, independent of how
 //! fast the machine is.
@@ -447,10 +448,12 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
 
     // Weighted wide frontier: the same bundle shape as
     // `forkjoin_bundle`, every task carrying a heterogeneous
-    // half-integer weight, so each step advances residual costs and the
-    // completion sweep compacts in place — the weighted executor
-    // kernel's sustained regime. Built once, rewound per repetition;
-    // ops count processor-step units (Σ ceil(wᵢ)), not tasks.
+    // half-integer weight, so the kernel advances residual costs to the
+    // next completion and the completion sweep compacts in place — the
+    // weighted executor kernel's sustained regime. The reference runs
+    // the same bundle one step at a time. Built once, rewound per
+    // repetition; ops count processor-step units (Σ ceil(wᵢ)), not
+    // tasks.
     let weighted = {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let base = generate::chain_bundle(cfg.bundle_width, cfg.weighted_levels);
@@ -463,6 +466,10 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     let mut weighted_ex = BGreedyExecutor::new(&weighted);
     results.push(measure("weighted_frontier", ms, || {
         run_to_completion(&mut weighted_ex, cfg.bundle_width, 100)
+    }));
+    let mut weighted_ref = ReferenceBGreedyExecutor::new(&weighted);
+    results.push(measure("weighted_frontier_reference", ms, || {
+        run_to_completion(&mut weighted_ref, cfg.bundle_width, 100)
     }));
 
     // Dag construction: builder ingest + CSR finalization + Kahn
@@ -670,20 +677,17 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     }));
 
     // Composite: the open-system driver under weighted workflow
-    // arrivals — every arrival builds a fresh Montage-like dag (stage
-    // structure and half-integer weights from the run's RNG) and
-    // executes it through the weighted per-task kernel. Against
-    // `open_system` this prices what realistic heterogeneous jobs add:
-    // per-arrival dag construction and the residual-work stepping that
-    // the homogeneous phased population never touches. The fixed seed
-    // keeps arrivals and horizon iter-constant.
-    let wf_kind = WorkflowKind::Montage;
-    let wf_scale = cfg.workflow_scale;
+    // arrivals — every arrival instantiates one Montage-like template
+    // (the structure built once, half-integer weights drawn from the
+    // run's RNG) and executes it through the weighted per-task kernel.
+    // Against `open_system` this prices what realistic heterogeneous
+    // jobs add: per-arrival weight tables and the residual-work stepping
+    // that the homogeneous phased population never touches. The fixed
+    // seed keeps arrivals and horizon iter-constant.
+    let wf = WorkflowKind::Montage.template(cfg.workflow_scale);
     let wf_t1 = {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        abg_workload::expected_work_of(256, &mut rng, |rng| {
-            wf_kind.generate(wf_scale, rng).work() as f64
-        })
+        abg_workload::expected_work_of(256, &mut rng, |rng| wf.instantiate(rng).work() as f64)
     };
     let wf_cfg = abg_queue::OpenConfig {
         arrivals: abg_workload::ArrivalProcess::Poisson {
@@ -697,9 +701,10 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         abg_queue::run_open_system(
             &wf_cfg,
             DynamicEquiPartition::new(cfg.processors),
-            // Heterogeneous dags: recycling is declined, every arrival
-            // pays its own build — deliberately part of the price.
-            |rng, _recycled| Box::new(OwnedBGreedyExecutor::new(wf_kind.generate(wf_scale, rng))),
+            // Heterogeneous weights: recycling is declined, every
+            // arrival pays its own instance and executor — deliberately
+            // part of the price.
+            |rng, _recycled| Box::new(OwnedBGreedyExecutor::new(wf.instantiate(rng))),
             || Box::new(AControl::new(0.2)),
         )
     }));
@@ -786,10 +791,11 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
 /// reference kernel runs its partner's inputs through an oracle that is
 /// bit-identical in every simulated result, so the pair does the same
 /// simulated work and only the cost model differs.
-pub const REFERENCE_PAIRS: [(&str, &str); 4] = [
+pub const REFERENCE_PAIRS: [(&str, &str); 5] = [
     ("chain_macro", "chain_reference"),
     ("forkjoin_tree", "forkjoin_tree_reference"),
     ("forkjoin_bundle", "forkjoin_bundle_reference"),
+    ("weighted_frontier", "weighted_frontier_reference"),
     ("open_event", "open_event_reference"),
 ];
 
@@ -855,6 +861,7 @@ mod tests {
                 "phased_pipelined",
                 "leveled_barrier",
                 "weighted_frontier",
+                "weighted_frontier_reference",
                 "dag_build",
                 "sweep_parallel",
                 "single_job_sweep",

@@ -321,10 +321,10 @@ fn run_point(cfg: &OpenSystemConfig, mean_gap: f64, index: u64, which: Scheduler
                 )))
             },
         ),
-        // Workflow dags are heterogeneous too (fresh structure and
-        // weights per arrival), so recycling is likewise declined.
+        // Workflow arrivals share one structure, built once per point,
+        // but draw fresh weights each, so recycling is likewise declined.
         OpenWorkload::Workflow { kind, scale } => {
-            let (kind, scale) = (*kind, *scale);
+            let template = kind.template(*scale);
             run_point_with(
                 cfg,
                 mean_gap,
@@ -333,7 +333,7 @@ fn run_point(cfg: &OpenSystemConfig, mean_gap: f64, index: u64, which: Scheduler
                 move |rng: &mut StdRng,
                       _recycled: Option<Box<dyn JobExecutor + Send>>|
                       -> Box<dyn JobExecutor + Send> {
-                    Box::new(OwnedBGreedyExecutor::new(kind.generate(scale, rng)))
+                    Box::new(OwnedBGreedyExecutor::new(template.instantiate(rng)))
                 },
             )
         }
@@ -417,8 +417,9 @@ pub fn population_expected_work(cfg: &OpenSystemConfig) -> f64 {
             mixed_factor_job(cfg.max_factor, cfg.quantum_len, cfg.pairs, rng)
         }),
         OpenWorkload::Workflow { kind, scale } => {
+            let template = kind.template(*scale);
             expected_work_of(cfg.work_samples, &mut rng, |rng| {
-                kind.generate(*scale, rng).work() as f64
+                template.instantiate(rng).work() as f64
             })
         }
         OpenWorkload::Trace(dag) => dag.work() as f64,

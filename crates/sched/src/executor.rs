@@ -137,10 +137,17 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
     /// level_max_cost(l)` fractional span (so a fully completed level
     /// contributes its max cost, the level's weighted critical-path
     /// share), and releases its successors after the sweep position —
-    /// never runnable in the same step. The arithmetic (operand order
-    /// included) is bit-identical to the weighted
-    /// [`ReferenceExecutor`](crate::reference::ReferenceExecutor) path,
-    /// which the `executor_equivalence` proptest suite enforces.
+    /// never runnable in the same step.
+    ///
+    /// Steps between completions are not walked one by one: once the
+    /// slots are filled, the running front is fixed until its smallest
+    /// residual reaches zero, so the kernel advances `k = min(smallest
+    /// front residual, steps left)` steps at once and then sweeps. No
+    /// task completes and no ready task is popped during the skipped
+    /// steps, so nothing observable depends on walking them. The
+    /// arithmetic (operand order included) is bit-identical to the
+    /// weighted [`ReferenceExecutor`](crate::reference::ReferenceExecutor)
+    /// path, which the `executor_equivalence` proptest suite enforces.
     fn run_quantum_weighted(&mut self, allotment: u32, steps: u64) -> QuantumStats {
         let mut work = 0u64;
         let mut steps_worked = 0u64;
@@ -175,11 +182,19 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
                 }
                 let run = in_progress.len().min(a);
                 debug_assert!(run > 0, "a live job always has a ready or running task");
+                // The front is fixed until its smallest residual runs
+                // out: advance those `k` steps at once.
+                let k = in_progress[..run]
+                    .iter()
+                    .map(|&(_, rem)| rem)
+                    .min()
+                    .unwrap_or(1)
+                    .min(remaining);
                 for slot in in_progress[..run].iter_mut() {
-                    slot.1 -= 1;
+                    slot.1 -= k;
                 }
-                work += run as u64;
-                *worked += run as u64;
+                work += run as u64 * k;
+                *worked += run as u64 * k;
                 // Sweep completions in slot order, compacting the
                 // survivors in place (their relative order is the
                 // pause/resume fairness order).
@@ -204,9 +219,9 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
                     }
                 }
                 in_progress.truncate(kept);
-                steps_worked += 1;
-                *elapsed += 1;
-                remaining -= 1;
+                steps_worked += k;
+                *elapsed += k;
+                remaining -= k;
             }
             finished = *completed == total;
         }

@@ -22,8 +22,9 @@
 //!    computed every quantum and cross-checked against the per-task sum
 //!    to within `1e-9`, guarding against semantic drift in either.
 //! 2. **Benchmarking the before/after.** The kernel suite (`abg-cli
-//!    bench`) runs the `chain`, `forkjoin_tree` and `forkjoin_bundle`
-//!    kernels through this executor as well as the optimised one, and
+//!    bench`) runs the `chain`, `forkjoin_tree`, `forkjoin_bundle` and
+//!    `weighted_frontier` kernels through this executor as well as the
+//!    optimised one, and
 //!    reports each optimised/reference steps-per-second ratio under
 //!    `derived`, so the speedup claimed by the kernel overhaul stays
 //!    measurable in every future checkout.

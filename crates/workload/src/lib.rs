@@ -52,7 +52,7 @@ pub use release::{
     expected_work, expected_work_of, mean_gap_for_utilization, splitmix_seed, ArrivalProcess,
     ArrivalStream, ArrivalSubstream, ReleaseSchedule,
 };
-pub use workflow::WorkflowKind;
+pub use workflow::{WorkflowKind, WorkflowTemplate};
 
 use abg_dag::{ForkJoinSpec, PhasedJob};
 use rand::{Rng, RngExt as _};

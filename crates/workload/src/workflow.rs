@@ -9,10 +9,23 @@
 //! a `scale` (the fan-out of its widest stage) with per-stage weight
 //! distributions drawn from a caller-supplied RNG.
 //!
+//! Generation is split in two. [`WorkflowKind::template`] builds and
+//! validates the structure once, as a [`WorkflowTemplate`] holding the
+//! unit-weight dag and each task's weight range;
+//! [`WorkflowTemplate::instantiate`] then draws one weight per task and
+//! attaches the table. A stream of arrivals of one kind and scale
+//! shares one template, so each arrival pays for its weights only, not
+//! for a builder pass and a Kahn validation.
+//!
 //! Weights are sampled as exact half-integers (`k · 0.5` for integer
 //! `k`), so they round-trip bit-exactly through the text dag format
 //! ([`dagfile`](crate::dagfile)), and the derived integer costs
-//! (`ceil`) stay small and predictable.
+//! (`ceil`) stay small and predictable. Every instance carries a weight
+//! table, but a table may happen to be all-1.0: a [`WorkflowKind::Diamond`]
+//! can draw the floor weight for every task, and such a dag is flagged
+//! [`ExplicitDag::is_unit_weight`] and runs the unit executor kernels.
+//! The other kinds have a stage whose lightest weight exceeds 1.0, so
+//! their instances are always non-unit.
 
 use abg_dag::{DagBuilder, ExplicitDag, TaskId};
 use rand::{Rng, RngExt as _};
@@ -58,18 +71,25 @@ impl WorkflowKind {
         }
     }
 
-    /// Generates one workflow instance at the given scale (clamped to a
-    /// minimum of 1), sampling stage weights from `rng`. The returned
-    /// dag always carries a weight table with at least one non-unit
-    /// entry, so it routes the weighted executor kernels.
-    pub fn generate<R: Rng + ?Sized>(&self, scale: u32, rng: &mut R) -> ExplicitDag {
+    /// Builds the structure of this kind at the given scale (clamped to
+    /// a minimum of 1), validated once, with each task's weight range.
+    /// Draw instances from it with [`WorkflowTemplate::instantiate`].
+    pub fn template(&self, scale: u32) -> WorkflowTemplate {
         let scale = scale.max(1) as usize;
         match self {
-            WorkflowKind::Diamond => diamond(scale, rng),
-            WorkflowKind::MapReduce => mapreduce(scale, rng),
-            WorkflowKind::Montage => montage(scale, rng),
-            WorkflowKind::Epigenomics => epigenomics(scale, rng),
+            WorkflowKind::Diamond => diamond(scale),
+            WorkflowKind::MapReduce => mapreduce(scale),
+            WorkflowKind::Montage => montage(scale),
+            WorkflowKind::Epigenomics => epigenomics(scale),
         }
+    }
+
+    /// Generates one workflow instance at the given scale (clamped to a
+    /// minimum of 1), sampling stage weights from `rng`: the one-off
+    /// form of `self.template(scale).instantiate(rng)`. Callers drawing
+    /// many instances of one kind and scale should keep the template.
+    pub fn generate<R: Rng + ?Sized>(&self, scale: u32, rng: &mut R) -> ExplicitDag {
+        self.template(scale).instantiate(rng)
     }
 }
 
@@ -95,123 +115,181 @@ impl FromStr for WorkflowKind {
     }
 }
 
-/// Samples a half-integer weight in `[lo/2, hi/2]` — an exact binary
-/// fraction, so it survives text serialisation bit-for-bit.
-fn half<R: Rng + ?Sized>(rng: &mut R, lo: u64, hi: u64) -> f64 {
-    rng.random_range(lo..=hi) as f64 * 0.5
+/// The structure of one workflow kind at one scale, built and validated
+/// once, plus the weight range of each task. Every instance shares the
+/// successor lists, levels and in-degrees of [`WorkflowTemplate::structure`]
+/// and differs only in its weight table.
+#[derive(Debug, Clone)]
+pub struct WorkflowTemplate {
+    structure: ExplicitDag,
+    /// `(lo, hi)` per task in id order: the task's weight is drawn
+    /// uniformly from the half-units `lo..=hi`, i.e. `[lo/2, hi/2]`.
+    half_units: Vec<(u64, u64)>,
 }
 
-/// Adds one weighted task (weights from `half` are always valid).
-fn task<R: Rng + ?Sized>(b: &mut DagBuilder, rng: &mut R, lo: u64, hi: u64) -> TaskId {
-    b.add_weighted_task(half(rng, lo, hi))
-        .expect("half-integer weights are finite and positive")
-}
-
-fn diamond<R: Rng + ?Sized>(scale: usize, rng: &mut R) -> ExplicitDag {
-    let mut b = DagBuilder::with_capacity(scale + 2);
-    let src = task(&mut b, rng, 2, 6);
-    let mids: Vec<TaskId> = (0..scale).map(|_| task(&mut b, rng, 2, 16)).collect();
-    let sink = task(&mut b, rng, 2, 8);
-    for &m in &mids {
-        b.add_edge(src, m).expect("fresh ids");
-        b.add_edge(m, sink).expect("fresh ids");
+impl WorkflowTemplate {
+    /// The unit-weight structure every instance shares.
+    pub fn structure(&self) -> &ExplicitDag {
+        &self.structure
     }
-    b.build().expect("diamond is acyclic by construction")
+
+    /// Draws one instance: one half-integer weight per task, in id
+    /// order, attached to a copy of the structure through
+    /// [`ExplicitDag::with_weights`] (which re-checks every weight).
+    pub fn instantiate<R: Rng + ?Sized>(&self, rng: &mut R) -> ExplicitDag {
+        let weights = self
+            .half_units
+            .iter()
+            .map(|&(lo, hi)| rng.random_range(lo..=hi) as f64 * 0.5)
+            .collect();
+        self.structure
+            .clone()
+            .with_weights(weights)
+            .expect("half-integer weights are finite and positive")
+    }
 }
 
-fn mapreduce<R: Rng + ?Sized>(scale: usize, rng: &mut R) -> ExplicitDag {
+/// A structure under construction: the builder plus the half-unit
+/// weight range of each task added so far.
+struct Shape {
+    b: DagBuilder,
+    half_units: Vec<(u64, u64)>,
+}
+
+impl Shape {
+    fn with_capacity(n: usize) -> Self {
+        Shape {
+            b: DagBuilder::with_capacity(n),
+            half_units: Vec::with_capacity(n),
+        }
+    }
+
+    /// Adds a task whose weight is drawn from `[lo/2, hi/2]`.
+    fn task(&mut self, lo: u64, hi: u64) -> TaskId {
+        self.half_units.push((lo, hi));
+        self.b.add_task()
+    }
+
+    fn edge(&mut self, from: TaskId, to: TaskId) {
+        self.b.add_edge(from, to).expect("fresh ids");
+    }
+
+    fn finish(self) -> WorkflowTemplate {
+        WorkflowTemplate {
+            structure: self
+                .b
+                .build()
+                .expect("workflows are acyclic by construction"),
+            half_units: self.half_units,
+        }
+    }
+}
+
+fn diamond(scale: usize) -> WorkflowTemplate {
+    let mut s = Shape::with_capacity(scale + 2);
+    let src = s.task(2, 6);
+    let mids: Vec<TaskId> = (0..scale).map(|_| s.task(2, 16)).collect();
+    let sink = s.task(2, 8);
+    for &m in &mids {
+        s.edge(src, m);
+        s.edge(m, sink);
+    }
+    s.finish()
+}
+
+fn mapreduce(scale: usize) -> WorkflowTemplate {
     let maps = scale;
     let reduces = (scale / 4).max(1);
-    let mut b = DagBuilder::with_capacity(maps + reduces + 2);
-    let split = task(&mut b, rng, 2, 4);
-    let map_ids: Vec<TaskId> = (0..maps).map(|_| task(&mut b, rng, 8, 32)).collect();
-    let reduce_ids: Vec<TaskId> = (0..reduces).map(|_| task(&mut b, rng, 16, 48)).collect();
-    let collect = task(&mut b, rng, 2, 6);
+    let mut s = Shape::with_capacity(maps + reduces + 2);
+    let split = s.task(2, 4);
+    let map_ids: Vec<TaskId> = (0..maps).map(|_| s.task(8, 32)).collect();
+    let reduce_ids: Vec<TaskId> = (0..reduces).map(|_| s.task(16, 48)).collect();
+    let collect = s.task(2, 6);
     for &m in &map_ids {
-        b.add_edge(split, m).expect("fresh ids");
+        s.edge(split, m);
         // The shuffle: every map feeds every reduce.
         for &r in &reduce_ids {
-            b.add_edge(m, r).expect("fresh ids");
+            s.edge(m, r);
         }
     }
     for &r in &reduce_ids {
-        b.add_edge(r, collect).expect("fresh ids");
+        s.edge(r, collect);
     }
-    b.build().expect("mapreduce is acyclic by construction")
+    s.finish()
 }
 
-fn montage<R: Rng + ?Sized>(scale: usize, rng: &mut R) -> ExplicitDag {
+fn montage(scale: usize) -> WorkflowTemplate {
     let n = scale;
-    let mut b = DagBuilder::with_capacity(2 * n + n.saturating_sub(1) + 4);
+    let mut s = Shape::with_capacity(2 * n + n.saturating_sub(1) + 4);
     // mProject: re-project each input tile.
-    let projects: Vec<TaskId> = (0..n).map(|_| task(&mut b, rng, 4, 12)).collect();
+    let projects: Vec<TaskId> = (0..n).map(|_| s.task(4, 12)).collect();
     // mDiffFit: fit the overlap of each neighbouring pair of tiles.
     let diffs: Vec<TaskId> = (0..n.saturating_sub(1))
         .map(|i| {
-            let d = task(&mut b, rng, 2, 6);
-            b.add_edge(projects[i], d).expect("fresh ids");
-            b.add_edge(projects[i + 1], d).expect("fresh ids");
+            let d = s.task(2, 6);
+            s.edge(projects[i], d);
+            s.edge(projects[i + 1], d);
             d
         })
         .collect();
     // mConcatFit + mBgModel: the serial bottleneck.
-    let concat = task(&mut b, rng, 2, 8);
+    let concat = s.task(2, 8);
     for &d in &diffs {
-        b.add_edge(d, concat).expect("fresh ids");
+        s.edge(d, concat);
     }
     if diffs.is_empty() {
         // A single-tile mosaic still models the fit stage.
-        b.add_edge(projects[0], concat).expect("fresh ids");
+        s.edge(projects[0], concat);
     }
-    let model = task(&mut b, rng, 4, 10);
-    b.add_edge(concat, model).expect("fresh ids");
+    let model = s.task(4, 10);
+    s.edge(concat, model);
     // mBackground: correct each tile against the model.
     let backgrounds: Vec<TaskId> = (0..n)
         .map(|i| {
-            let bg = task(&mut b, rng, 2, 8);
-            b.add_edge(model, bg).expect("fresh ids");
-            b.add_edge(projects[i], bg).expect("fresh ids");
+            let bg = s.task(2, 8);
+            s.edge(model, bg);
+            s.edge(projects[i], bg);
             bg
         })
         .collect();
     // mImgtbl + mAdd: gather and co-add.
-    let imgtbl = task(&mut b, rng, 1, 4);
+    let imgtbl = s.task(1, 4);
     for &bg in &backgrounds {
-        b.add_edge(bg, imgtbl).expect("fresh ids");
+        s.edge(bg, imgtbl);
     }
-    let add = task(&mut b, rng, 8, 24);
-    b.add_edge(imgtbl, add).expect("fresh ids");
-    b.build().expect("montage is acyclic by construction")
+    let add = s.task(8, 24);
+    s.edge(imgtbl, add);
+    s.finish()
 }
 
-fn epigenomics<R: Rng + ?Sized>(scale: usize, rng: &mut R) -> ExplicitDag {
+fn epigenomics(scale: usize) -> WorkflowTemplate {
     let lanes = scale;
-    let mut b = DagBuilder::with_capacity(4 * lanes + 4);
-    let split = task(&mut b, rng, 2, 6);
+    let mut s = Shape::with_capacity(4 * lanes + 4);
+    let split = s.task(2, 6);
     let merge_inputs: Vec<TaskId> = (0..lanes)
         .map(|_| {
             // One lane: filter → convert → transform → map, a serial
             // 4-chain with map dominating the cost.
-            let filter = task(&mut b, rng, 2, 8);
-            b.add_edge(split, filter).expect("fresh ids");
-            let convert = task(&mut b, rng, 1, 4);
-            b.add_edge(filter, convert).expect("fresh ids");
-            let transform = task(&mut b, rng, 1, 4);
-            b.add_edge(convert, transform).expect("fresh ids");
-            let map = task(&mut b, rng, 12, 36);
-            b.add_edge(transform, map).expect("fresh ids");
+            let filter = s.task(2, 8);
+            s.edge(split, filter);
+            let convert = s.task(1, 4);
+            s.edge(filter, convert);
+            let transform = s.task(1, 4);
+            s.edge(convert, transform);
+            let map = s.task(12, 36);
+            s.edge(transform, map);
             map
         })
         .collect();
-    let merge = task(&mut b, rng, 4, 10);
+    let merge = s.task(4, 10);
     for &m in &merge_inputs {
-        b.add_edge(m, merge).expect("fresh ids");
+        s.edge(m, merge);
     }
-    let index = task(&mut b, rng, 2, 6);
-    b.add_edge(merge, index).expect("fresh ids");
-    let pileup = task(&mut b, rng, 4, 12);
-    b.add_edge(index, pileup).expect("fresh ids");
-    b.build().expect("epigenomics is acyclic by construction")
+    let index = s.task(2, 6);
+    s.edge(merge, index);
+    let pileup = s.task(4, 12);
+    s.edge(index, pileup);
+    s.finish()
 }
 
 #[cfg(test)]
@@ -226,11 +304,55 @@ mod tests {
         for kind in WorkflowKind::ALL {
             for scale in [1u32, 4, 16] {
                 let d = kind.generate(scale, &mut rng);
-                assert!(!d.is_unit_weight(), "{kind} scale {scale} must be weighted");
+                assert!(
+                    d.weight_profile().is_some(),
+                    "{kind} scale {scale} must carry a weight table"
+                );
+                if kind != WorkflowKind::Diamond {
+                    assert!(!d.is_unit_weight(), "{kind} scale {scale} must be weighted");
+                }
                 assert!(d.num_tasks() >= 3, "{kind} scale {scale}");
                 assert!(d.work() >= d.num_tasks() as u64);
                 assert!(d.weighted_span() >= d.span());
             }
+        }
+    }
+
+    #[test]
+    fn an_all_unit_diamond_runs_the_unit_kernels_to_completion() {
+        use abg_sched::{BGreedyExecutor, JobExecutor};
+        // Every task of this draw lands on the floor weight 1.0.
+        let d = WorkflowKind::Diamond.generate(1, &mut StdRng::seed_from_u64(361));
+        assert!(d.weight_profile().is_some());
+        assert!(d.is_unit_weight());
+        let mut ex = BGreedyExecutor::new(&d);
+        while !ex.is_complete() {
+            ex.run_quantum(2, 4);
+        }
+        assert_eq!(ex.completed_work(), d.work());
+    }
+
+    #[test]
+    fn instances_of_one_template_differ_only_in_their_weights() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for kind in WorkflowKind::ALL {
+            let template = kind.template(8);
+            let shape = template.structure();
+            assert!(shape.weight_profile().is_none(), "{kind}");
+            let a = template.instantiate(&mut rng);
+            let b = template.instantiate(&mut rng);
+            for d in [&a, &b] {
+                assert_eq!(d.in_degrees(), shape.in_degrees(), "{kind}");
+                for t in shape.tasks() {
+                    assert_eq!(d.successors(t), shape.successors(t), "{kind}");
+                    assert_eq!(d.level(t), shape.level(t), "{kind}");
+                }
+            }
+            assert_ne!(
+                a.weight_profile().unwrap().weights(),
+                b.weight_profile().unwrap().weights(),
+                "{kind}: two draws should differ"
+            );
         }
     }
 

@@ -207,7 +207,10 @@ proptest! {
     /// half-integer weight tables, allotment/quantum-length schedules
     /// and every queue discipline. The weight tables always contain at
     /// least one non-unit entry, so both executors take their weighted
-    /// paths (the unit shortcut is pinned separately below).
+    /// paths (the unit shortcut is pinned separately below). Weights
+    /// reach 24.0, beyond the longest quantum, so the kernel's
+    /// completion skips end mid-quantum, carry across quantum
+    /// boundaries, and meet paused tails when the allotment shrinks.
     #[test]
     fn weighted_kernel_bit_identical_to_reference(
         seed in 0u64..500,
@@ -219,7 +222,7 @@ proptest! {
         let base = generate::random_layered(&mut rng, 6, 1..=5, 0.3);
         let mut wrng = rand::rngs::StdRng::seed_from_u64(wseed);
         let mut weights: Vec<f64> = (0..base.num_tasks())
-            .map(|_| wrng.random_range(1..=8u64) as f64 * 0.5)
+            .map(|_| wrng.random_range(1..=48u64) as f64 * 0.5)
             .collect();
         weights[0] = 2.5; // force a non-unit table
         let dag = base.with_weights(weights).expect("finite positive weights");
@@ -261,7 +264,7 @@ proptest! {
         let base = generate::random_layered(&mut rng, 5, 1..=6, 0.4);
         let mut wrng = rand::rngs::StdRng::seed_from_u64(wseed);
         let mut weights: Vec<f64> = (0..base.num_tasks())
-            .map(|_| wrng.random_range(1..=7u64) as f64 * 0.5)
+            .map(|_| wrng.random_range(1..=48u64) as f64 * 0.5)
             .collect();
         weights[0] = 1.5;
         let dag = base.with_weights(weights).expect("finite positive weights");

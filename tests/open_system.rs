@@ -7,7 +7,7 @@
 //! to the driver, the arrival stream or the job generator moves it,
 //! re-record with that command and say so in the commit message.
 
-use abg::experiments::{open_fingerprint, open_system_sweep, OpenSystemConfig};
+use abg::experiments::{open_fingerprint, open_system_sweep, OpenSystemConfig, OpenWorkload};
 use abg::queue::{
     run_open_hierarchical_with_threads, run_open_system, HierOpenConfig, OpenConfig, OpenOutcome,
     SaturationConfig, ShardRouting,
@@ -16,7 +16,7 @@ use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, AGreedy, RequestCalculator, StaticEqui};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
+use abg_workload::{mean_gap_for_utilization, ArrivalProcess, WorkflowKind};
 
 /// `open_system_sweep(OpenSystemConfig::smoke())`.
 const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
@@ -28,6 +28,25 @@ fn smoke_open_sweep_matches_golden() {
     // over the crate's one event loop.
     let rows = open_system_sweep(&OpenSystemConfig::smoke());
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE);
+}
+
+/// `open_system_sweep(smoke)` over `Workflow { kind, scale: 8 }`
+/// arrivals, per kind in [`WorkflowKind::ALL`] order.
+const WORKFLOW_SMOKE: [(WorkflowKind, u64); 4] = [
+    (WorkflowKind::Diamond, 0xe05acbd81acaccec),
+    (WorkflowKind::MapReduce, 0x32df76cc0de04884),
+    (WorkflowKind::Montage, 0x2524e920c7bdc50a),
+    (WorkflowKind::Epigenomics, 0x6c646443bf1d1041),
+];
+
+#[test]
+fn smoke_workflow_sweeps_match_goldens() {
+    for (kind, golden) in WORKFLOW_SMOKE {
+        let mut cfg = OpenSystemConfig::smoke();
+        cfg.workload = OpenWorkload::Workflow { kind, scale: 8 };
+        let fp = open_fingerprint(&open_system_sweep(&cfg));
+        assert_eq!(fp, golden, "{kind} workflow sweep drifted");
+    }
 }
 
 #[test]
