@@ -921,11 +921,11 @@ fn open(opts: &Options) -> Result<(), String> {
         let dag = abg_workload::load_dag(path).map_err(|e| e.to_string())?;
         cfg.workload = OpenWorkload::Trace(std::sync::Arc::new(dag));
     }
-    // Reject an inconsistent measurement setup with a message instead
+    // Reject an inconsistent measurement setup, or a ρ the engine
+    // cannot simulate, with a message before any worker starts instead
     // of letting the sweep panic mid-run.
-    cfg.validate()
+    let rows = experiments::try_open_system_sweep(&cfg)
         .map_err(|e| format!("invalid open-system configuration: {e}"))?;
-    let rows = experiments::open_system_sweep(&cfg);
     if opts.json {
         print!(
             "{}",
@@ -1262,6 +1262,40 @@ mod tests {
             })
             .unwrap_err();
             assert_eq!(err, message);
+        }
+    }
+
+    /// Offered loads at the edges of f64 are refused before any worker
+    /// starts: ρ·P overflowing to infinity leaves a mean gap of 0, and a
+    /// vanishing ρ spaces the run's 200 arrivals past the u64 clock.
+    #[test]
+    fn open_rejects_unsimulable_offered_loads_with_the_typed_messages() {
+        let base = Options {
+            command: Some("open".into()),
+            smoke: true,
+            ..Options::default()
+        };
+        for (rho, message) in [
+            (
+                1e308,
+                "invalid open-system configuration: mean arrival gap must be finite and \
+                 positive, got 0 steps",
+            ),
+            (
+                1e-300,
+                "invalid open-system configuration: 200 arrivals at a mean gap of \
+                 6.20999755859375e301 steps overrun the u64 step clock",
+            ),
+        ] {
+            for groups in [None, Some(4)] {
+                let err = open(&Options {
+                    rho: Some(rho),
+                    groups,
+                    ..base.clone()
+                })
+                .unwrap_err();
+                assert_eq!(err, message, "rho {rho} groups {groups:?}");
+            }
         }
     }
 }

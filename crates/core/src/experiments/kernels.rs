@@ -304,9 +304,9 @@ fn recycling_factory(
 /// Measures an open-system kernel whose body runs one simulation at a
 /// stable load. Ops are arrivals admitted and steps are `steps` of the
 /// steady report; the fixed seed keeps both iter-constant, so the peak
-/// population is read off the final repetition. Every boxed open driver
-/// stores the same erased slot types, so one footprint figure covers
-/// all of them.
+/// population is read off the final repetition. The footprint figure is
+/// that of the erased `Box<dyn JobExecutor + Send>` slots most open
+/// kernels store; a kernel over another executor type overwrites it.
 fn measure_open(
     kernel: &str,
     min_wall_ms: u64,
@@ -677,13 +677,16 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     }));
 
     // Composite: the open-system driver under weighted workflow
-    // arrivals — every arrival instantiates one Montage-like template
-    // (the structure built once, half-integer weights drawn from the
-    // run's RNG) and executes it through the weighted per-task kernel.
-    // Against `open_system` this prices what realistic heterogeneous
-    // jobs add: per-arrival weight tables and the residual-work stepping
-    // that the homogeneous phased population never touches. The fixed
-    // seed keeps arrivals and horizon iter-constant.
+    // arrivals — every arrival draws one instance of a Montage-like
+    // template (the structure built once, half-integer weights drawn
+    // from the run's RNG) and executes it through the weighted per-task
+    // kernel. A drained executor is recycled the way the sweep recycles
+    // it: its dag's weights are redrawn in place and it rewinds onto
+    // them. Against `open_system` this prices what realistic
+    // heterogeneous jobs add: per-arrival weight draws and the
+    // residual-work stepping that the homogeneous phased population
+    // never touches. The fixed seed keeps arrivals and horizon
+    // iter-constant.
     let wf = WorkflowKind::Montage.template(cfg.workflow_scale);
     let wf_t1 = {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -697,17 +700,19 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         measured_jobs: cfg.workflow_jobs,
         ..open_cfg.clone()
     };
-    results.push(measure_open("workflow_open", ms, horizon, || {
+    let mut wf_res = measure_open("workflow_open", ms, horizon, || {
         abg_queue::run_open_system(
             &wf_cfg,
             DynamicEquiPartition::new(cfg.processors),
-            // Heterogeneous weights: recycling is declined, every
-            // arrival pays its own instance and executor — deliberately
-            // part of the price.
-            |rng, _recycled| Box::new(OwnedBGreedyExecutor::new(wf.instantiate(rng))),
+            super::open_system::workflow_factory(&wf),
             || Box::new(AControl::new(0.2)),
         )
-    }));
+    });
+    wf_res.bytes_per_live_job = live_job_footprint::<
+        Box<OwnedBGreedyExecutor>,
+        Box<dyn abg_control::RequestCalculator + Send>,
+    >() as u64;
+    results.push(wf_res);
 
     // Storage-layer kernels: the completion-heavy churn regime. Short
     // jobs on a dense arrival grid, the whole calendar admitted up

@@ -39,8 +39,8 @@ pub use kernels::{
 };
 pub use multiprogrammed::{multiprogrammed_sweep, LoadPoint, MultiprogrammedConfig};
 pub use open_system::{
-    open_system_sweep, population_expected_work, OpenSystemConfig, OpenSystemRow, OpenWorkload,
-    SchedulerOpenPoint,
+    open_system_sweep, population_expected_work, try_open_system_sweep, OpenSystemConfig,
+    OpenSystemRow, OpenWorkload, SchedulerOpenPoint,
 };
 pub use overhead::{overhead_sweep, OverheadConfig, OverheadRow};
 pub use robustness::{robustness_comparison, RobustnessConfig, RobustnessRow};

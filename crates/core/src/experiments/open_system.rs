@@ -22,7 +22,7 @@ use abg_queue::{
 use abg_sched::{DagExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor};
 use abg_workload::{
     expected_work, expected_work_of, mean_gap_for_utilization, mixed_factor_job, ArrivalProcess,
-    WorkflowKind,
+    WorkflowKind, WorkflowTemplate,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,10 +43,12 @@ pub enum OpenWorkload {
     /// every arrival samples a fresh phase structure with parallel
     /// width uniform in `[2, max_factor]`.
     MixedFactor,
-    /// Weighted workflow arrivals: every arrival generates a fresh
+    /// Weighted workflow arrivals: every arrival draws a fresh
     /// instance of the given [`WorkflowKind`] at the given scale, with
-    /// stage weights sampled from the run's RNG stream. Executors are
-    /// never recycled — the dags are heterogeneous.
+    /// stage weights sampled from the run's RNG stream. The structure is
+    /// built once per point; a drained executor is recycled by redrawing
+    /// its dag's weights in place, the same draws a fresh instance would
+    /// take.
     Workflow {
         /// The workflow family to generate.
         kind: WorkflowKind,
@@ -299,43 +301,14 @@ pub struct OpenSystemRow {
 }
 
 fn run_point(cfg: &OpenSystemConfig, mean_gap: f64, index: u64, which: Scheduler) -> OpenOutcome {
-    let (max_factor, quantum_len, pairs) = (cfg.max_factor, cfg.quantum_len, cfg.pairs);
     match &cfg.workload {
-        // Jobs here are heterogeneous (each arrival samples a fresh
-        // phase structure), so recycled executors are dropped rather
-        // than reset — the sweep fingerprints stay pinned to the
-        // fresh-build behaviour.
-        OpenWorkload::MixedFactor => run_point_with(
-            cfg,
-            mean_gap,
-            index,
-            which,
-            move |rng: &mut StdRng,
-                  _recycled: Option<Box<dyn JobExecutor + Send>>|
-                  -> Box<dyn JobExecutor + Send> {
-                Box::new(PipelinedExecutor::new(mixed_factor_job(
-                    max_factor,
-                    quantum_len,
-                    pairs,
-                    rng,
-                )))
-            },
-        ),
-        // Workflow arrivals share one structure, built once per point,
-        // but draw fresh weights each, so recycling is likewise declined.
+        OpenWorkload::MixedFactor => {
+            run_point_with(cfg, mean_gap, index, which, mixed_factor_factory(cfg))
+        }
+        // One structure per point; arrivals differ only in their weights.
         OpenWorkload::Workflow { kind, scale } => {
             let template = kind.template(*scale);
-            run_point_with(
-                cfg,
-                mean_gap,
-                index,
-                which,
-                move |rng: &mut StdRng,
-                      _recycled: Option<Box<dyn JobExecutor + Send>>|
-                      -> Box<dyn JobExecutor + Send> {
-                    Box::new(OwnedBGreedyExecutor::new(template.instantiate(rng)))
-                },
-            )
+            run_point_with(cfg, mean_gap, index, which, workflow_factory(&template))
         }
         // Trace replay: one shared dag, so a completed executor rewinds
         // in place instead of rebuilding its frontier state.
@@ -363,9 +336,60 @@ fn run_point(cfg: &OpenSystemConfig, mean_gap: f64, index: u64, which: Scheduler
     }
 }
 
+/// Executor factory of the mixed-factor population. Jobs here are
+/// heterogeneous (each arrival samples a fresh phase structure), so
+/// recycled executors are dropped rather than reset — the sweep
+/// fingerprints stay pinned to the fresh-build behaviour.
+fn mixed_factor_factory(
+    cfg: &OpenSystemConfig,
+) -> impl Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync
+{
+    let (max_factor, quantum_len, pairs) = (cfg.max_factor, cfg.quantum_len, cfg.pairs);
+    move |rng, _recycled| {
+        Box::new(PipelinedExecutor::new(mixed_factor_job(
+            max_factor,
+            quantum_len,
+            pairs,
+            rng,
+        )))
+    }
+}
+
+/// Controller factory of one scheduler's runs.
+fn calculator_factory(
+    cfg: &OpenSystemConfig,
+    which: Scheduler,
+) -> impl Fn() -> Box<dyn RequestCalculator + Send> + Sync {
+    let (rate, rho, delta) = (cfg.rate, cfg.responsiveness, cfg.utilization);
+    move || -> Box<dyn RequestCalculator + Send> {
+        match which {
+            Scheduler::Abg => Box::new(AControl::new(rate)),
+            Scheduler::AGreedy => Box::new(AGreedy::new(rho, delta)),
+        }
+    }
+}
+
+/// Executor factory of workflow arrivals drawn from `template`: a fresh
+/// arrival instantiates it, and a recycled executor redraws its dag's
+/// weights in place — the same draws, in the same id order — then
+/// rewinds onto them, so a run builds one executor per concurrently
+/// live job rather than one per arrival.
+pub(crate) fn workflow_factory(
+    template: &WorkflowTemplate,
+) -> impl Fn(&mut StdRng, Option<Box<OwnedBGreedyExecutor>>) -> Box<OwnedBGreedyExecutor> + Sync + '_
+{
+    move |rng, recycled| match recycled {
+        Some(mut ex) => {
+            ex.reset_with(|dag| template.redraw(dag, rng));
+            ex
+        }
+        None => Box::new(OwnedBGreedyExecutor::new(template.instantiate(rng))),
+    }
+}
+
 /// Runs one (ρ, scheduler) point through whichever engine the config
 /// selects, with `make_executor` supplying an executor per arrival.
-fn run_point_with<E>(
+fn run_point_with<X, E>(
     cfg: &OpenSystemConfig,
     mean_gap: f64,
     index: u64,
@@ -373,18 +397,13 @@ fn run_point_with<E>(
     make_executor: E,
 ) -> OpenOutcome
 where
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
+    X: JobExecutor + Send,
+    E: Fn(&mut StdRng, Option<X>) -> X + Sync,
 {
     // Per-ρ seed shared by BOTH schedulers: identical rng, identical
     // arrival times, identical job structures — a paired comparison.
     let open = cfg.open_config(mean_gap, task_seed(cfg.seed, index, 1));
-    let (rate, rho, delta) = (cfg.rate, cfg.responsiveness, cfg.utilization);
-    let make_calculator = move || -> Box<dyn RequestCalculator + Send> {
-        match which {
-            Scheduler::Abg => Box::new(AControl::new(rate)),
-            Scheduler::AGreedy => Box::new(AGreedy::new(rho, delta)),
-        }
-    };
+    let make_calculator = calculator_factory(cfg, which);
     // `groups > 1` routes through the hierarchical two-level driver,
     // whose group pool honors `ABG_THREADS` like the sweep's own
     // `parallel_map` (the outcome is thread-count invariant either
@@ -430,11 +449,34 @@ pub fn population_expected_work(cfg: &OpenSystemConfig) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the config has no ρ values or an inconsistent measurement
-/// setup (see [`OpenConfig`]).
+/// Panics if the config has no ρ values, an inconsistent measurement
+/// setup, or a ρ the engine cannot simulate, with the message of the
+/// [`abg_queue::ConfigError`] that [`try_open_system_sweep`] returns.
 pub fn open_system_sweep(cfg: &OpenSystemConfig) -> Vec<OpenSystemRow> {
+    try_open_system_sweep(cfg).unwrap_or_else(|err| panic!("{err}"))
+}
+
+/// [`open_system_sweep`], reporting an unusable configuration as a
+/// typed [`abg_queue::ConfigError`] before any simulation starts: the
+/// measurement setup first ([`OpenSystemConfig::validate`]), then, once
+/// the population's expected work is known, every ρ's arrival process
+/// (a mean gap that is not finite and positive, or too long for the
+/// run's arrivals to fit in `u64` steps).
+///
+/// # Panics
+///
+/// Panics if the config has no ρ values, or a ρ that is not finite and
+/// positive (see [`mean_gap_for_utilization`]).
+pub fn try_open_system_sweep(
+    cfg: &OpenSystemConfig,
+) -> Result<Vec<OpenSystemRow>, abg_queue::ConfigError> {
     assert!(!cfg.rhos.is_empty(), "sweep needs at least one rho");
+    cfg.validate()?;
     let work = population_expected_work(cfg);
+    for &rho in &cfg.rhos {
+        let gap = mean_gap_for_utilization(rho, cfg.processors, work);
+        cfg.open_config(gap, cfg.seed).validate()?;
+    }
     let units: Vec<(u64, Scheduler)> = (0..cfg.rhos.len() as u64)
         .flat_map(|i| [(i, Scheduler::Abg), (i, Scheduler::AGreedy)])
         .collect();
@@ -443,7 +485,8 @@ pub fn open_system_sweep(cfg: &OpenSystemConfig) -> Vec<OpenSystemRow> {
         let gap = mean_gap_for_utilization(rho, cfg.processors, work);
         SchedulerOpenPoint::from_outcome(&run_point(cfg, gap, index, which))
     });
-    cfg.rhos
+    Ok(cfg
+        .rhos
         .iter()
         .enumerate()
         .map(|(i, &rho)| OpenSystemRow {
@@ -453,12 +496,207 @@ pub fn open_system_sweep(cfg: &OpenSystemConfig) -> Vec<OpenSystemRow> {
             abg: outcomes[2 * i],
             agreedy: outcomes[2 * i + 1],
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::open_fingerprint;
+    use abg_queue::{run_open_system_probed, ReferenceOpenDriver};
+    use abg_sched::QuantumStats;
+    use abg_sim::TraceProbe;
+
+    /// The sweep's rows with every (point, scheduler) run by `run`
+    /// instead of the sweep's own engines, seeded as the sweep seeds
+    /// them.
+    fn rows_with(
+        cfg: &OpenSystemConfig,
+        run: impl Fn(&OpenConfig, Scheduler) -> OpenOutcome,
+    ) -> Vec<OpenSystemRow> {
+        let work = population_expected_work(cfg);
+        (0..cfg.rhos.len())
+            .map(|i| {
+                let rho = cfg.rhos[i];
+                let gap = mean_gap_for_utilization(rho, cfg.processors, work);
+                let open = cfg.open_config(gap, task_seed(cfg.seed, i as u64, 1));
+                OpenSystemRow {
+                    rho,
+                    mean_gap: gap,
+                    expected_work: work,
+                    abg: SchedulerOpenPoint::from_outcome(&run(&open, Scheduler::Abg)),
+                    agreedy: SchedulerOpenPoint::from_outcome(&run(&open, Scheduler::AGreedy)),
+                }
+            })
+            .collect()
+    }
+
+    /// Checks a G = 1 sweep against the literal oracle, which steps
+    /// every live job every quantum: equal fingerprints, and equal
+    /// per-quantum traces (availabilities included) for every job.
+    fn assert_oracle_agrees<X, F>(cfg: &OpenSystemConfig, factory: impl Fn() -> F)
+    where
+        X: JobExecutor + Send,
+        F: Fn(&mut StdRng, Option<X>) -> X,
+    {
+        let processors = cfg.processors;
+        let oracle = rows_with(cfg, |open, which| {
+            let probe = TraceProbe::new().retaining().with_availability();
+            let (oracle, oracle_probe) = ReferenceOpenDriver::run_probed(
+                open,
+                DynamicEquiPartition::new(processors),
+                factory(),
+                calculator_factory(cfg, which),
+                probe.clone(),
+            );
+            let (event, event_probe) = run_open_system_probed(
+                open,
+                DynamicEquiPartition::new(processors),
+                factory(),
+                calculator_factory(cfg, which),
+                probe,
+            );
+            assert_eq!(
+                oracle_probe.completed_traces(),
+                event_probe.completed_traces(),
+                "rho gap {:?}: traces diverged",
+                open.arrivals
+            );
+            assert_eq!(
+                open_fingerprint_of(&oracle),
+                open_fingerprint_of(&event),
+                "traced outcomes diverged"
+            );
+            oracle
+        });
+        assert_eq!(
+            open_fingerprint(&oracle),
+            open_fingerprint(&open_system_sweep(cfg))
+        );
+    }
+
+    /// Fingerprint of one outcome, NaN statistics included.
+    fn open_fingerprint_of(outcome: &OpenOutcome) -> u64 {
+        let point = SchedulerOpenPoint::from_outcome(outcome);
+        open_fingerprint(&[OpenSystemRow {
+            rho: 0.0,
+            mean_gap: 0.0,
+            expected_work: 0.0,
+            abg: point,
+            agreedy: point,
+        }])
+    }
+
+    /// An executor with its idle certificate withheld.
+    struct Uncertified<X>(X);
+
+    impl<X: JobExecutor> JobExecutor for Uncertified<X> {
+        fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
+            self.0.run_quantum(allotment, steps)
+        }
+        fn is_complete(&self) -> bool {
+            self.0.is_complete()
+        }
+        fn total_work(&self) -> u64 {
+            self.0.total_work()
+        }
+        fn total_span(&self) -> u64 {
+            self.0.total_span()
+        }
+        fn completed_work(&self) -> u64 {
+            self.0.completed_work()
+        }
+        fn elapsed_steps(&self) -> u64 {
+            self.0.elapsed_steps()
+        }
+    }
+
+    #[test]
+    fn smoke_phased_sweep_matches_the_literal_oracle() {
+        let cfg = OpenSystemConfig::smoke();
+        assert_oracle_agrees(&cfg, || mixed_factor_factory(&cfg));
+    }
+
+    #[test]
+    fn smoke_workflow_sweep_matches_the_literal_oracle() {
+        let mut cfg = OpenSystemConfig::smoke();
+        cfg.workload = OpenWorkload::Workflow {
+            kind: WorkflowKind::Montage,
+            scale: 8,
+        };
+        let template = WorkflowKind::Montage.template(8);
+        assert_oracle_agrees(&cfg, || workflow_factory(&template));
+    }
+
+    #[test]
+    fn workflow_recycling_builds_one_executor_per_live_job() {
+        let mut cfg = OpenSystemConfig::smoke();
+        cfg.workload = OpenWorkload::Workflow {
+            kind: WorkflowKind::Montage,
+            scale: 8,
+        };
+        let template = WorkflowKind::Montage.template(8);
+        let factory = workflow_factory(&template);
+        let gap = mean_gap_for_utilization(0.8, cfg.processors, population_expected_work(&cfg));
+        /// The most jobs live at any quantum start. Every admission
+        /// is live at once and precedes a quantum, so this is the peak
+        /// in-system population (the detector's peak is sampled after
+        /// each quantum's completions).
+        #[derive(Default)]
+        struct PeakLive(usize);
+        impl abg_sim::Probe for PeakLive {
+            fn on_quantum_start(&mut self, _now: u64, _len: u64, live: usize) {
+                self.0 = self.0.max(live);
+            }
+        }
+        let mut builds = 0u64;
+        let (outcome, peak) = run_open_system_probed(
+            &cfg.open_config(gap, task_seed(cfg.seed, 0, 1)),
+            DynamicEquiPartition::new(cfg.processors),
+            |rng: &mut StdRng, recycled: Option<Box<OwnedBGreedyExecutor>>| {
+                builds += u64::from(recycled.is_none());
+                factory(rng, recycled)
+            },
+            calculator_factory(&cfg, Scheduler::Abg),
+            PeakLive::default(),
+        );
+        let stats = outcome.steady().expect("rho = 0.8 is stable");
+        assert!(
+            builds <= peak.0 as u64 + 1,
+            "{builds} executors built for a peak of {} live jobs",
+            peak.0
+        );
+        assert!(
+            stats.arrivals >= 4 * builds,
+            "{builds} builds for {} arrivals",
+            stats.arrivals
+        );
+    }
+
+    #[test]
+    fn smoke_desire_sweep_matches_stepping_every_job() {
+        // G = 4 under desire reallocation has no oracle driver; the
+        // same engines with every idle certificate withheld must agree.
+        let mut cfg = OpenSystemConfig::smoke();
+        cfg.groups = 4;
+        cfg.group_alloc = GroupPolicy::Desire;
+        let factory = mixed_factor_factory(&cfg);
+        let stepped = rows_with(&cfg, |open, which| {
+            run_open_hierarchical(
+                &cfg.hier_config(open.clone()),
+                DynamicEquiPartition::new,
+                |rng: &mut StdRng, recycled: Option<Uncertified<_>>| {
+                    Uncertified(factory(rng, recycled.map(|u| u.0)))
+                },
+                calculator_factory(&cfg, which),
+                cfg.group_alloc.build(),
+            )
+        });
+        assert_eq!(
+            open_fingerprint(&stepped),
+            open_fingerprint(&open_system_sweep(&cfg))
+        );
+    }
 
     #[test]
     fn smoke_sweep_is_stable_below_one_and_unstable_above() {

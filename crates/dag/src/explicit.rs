@@ -160,7 +160,7 @@ fn validate_weight(t: TaskId, w: f64) -> Result<(), DagError> {
 /// * `span_cost()` — the weighted span `T∞ = Σ_l level_max_cost(l)`
 ///   (the critical-path length of a level-by-level execution, and the
 ///   value every executor's accumulated quantum spans sum to).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WeightProfile {
     weights: Vec<f64>,
     costs: Vec<u64>,
@@ -172,15 +172,16 @@ pub struct WeightProfile {
 }
 
 impl WeightProfile {
-    /// Computes the profile for `weights` over tasks whose levels are
-    /// given by `level` (with `num_levels` levels total). Every weight
-    /// must be finite and strictly positive, and the total cost must
-    /// fit in `u64`.
-    fn new(weights: Vec<f64>, level: &[Level], num_levels: usize) -> Result<Self, DagError> {
-        debug_assert_eq!(weights.len(), level.len());
-        let mut costs = Vec::with_capacity(weights.len());
+    /// Recomputes every derived table from the weight table over tasks
+    /// whose levels are given by `level` (with `num_levels` levels
+    /// total), reusing the tables' storage. Every weight must be finite
+    /// and strictly positive, and the total cost must fit in `u64`; on
+    /// an error the derived tables are left partially written.
+    fn derive(&mut self, level: &[Level], num_levels: usize) -> Result<(), DagError> {
+        debug_assert_eq!(self.weights.len(), level.len());
+        self.costs.clear();
         let mut total_cost = 0u64;
-        for (i, &w) in weights.iter().enumerate() {
+        for (i, &w) in self.weights.iter().enumerate() {
             let t = TaskId(i as u32);
             validate_weight(t, w)?;
             // `as u64` saturates, so a ceiling of 2^64 or more must be
@@ -193,27 +194,24 @@ impl WeightProfile {
             total_cost = total_cost
                 .checked_add(cost)
                 .ok_or(DagError::CostOverflow(t))?;
-            costs.push(cost);
+            self.costs.push(cost);
         }
         // Every level sum and the span are bounded by `total_cost`.
-        let mut level_cost = vec![0u64; num_levels];
-        let mut level_max_cost = vec![0u64; num_levels];
-        for (i, &c) in costs.iter().enumerate() {
+        self.level_cost.clear();
+        self.level_cost.resize(num_levels, 0);
+        self.level_max_cost.clear();
+        self.level_max_cost.resize(num_levels, 0);
+        for (i, &c) in self.costs.iter().enumerate() {
             let l = level[i] as usize;
-            level_cost[l] += c;
-            level_max_cost[l] = level_max_cost[l].max(c);
+            self.level_cost[l] += c;
+            self.level_max_cost[l] = self.level_max_cost[l].max(c);
         }
-        let level_cost_recip = level_cost.iter().map(|&s| 1.0 / s as f64).collect();
-        let span_cost = level_max_cost.iter().sum();
-        Ok(WeightProfile {
-            weights,
-            costs,
-            level_cost,
-            level_cost_recip,
-            level_max_cost,
-            total_cost,
-            span_cost,
-        })
+        self.level_cost_recip.clear();
+        self.level_cost_recip
+            .extend(self.level_cost.iter().map(|&s| 1.0 / s as f64));
+        self.total_cost = total_cost;
+        self.span_cost = self.level_max_cost.iter().sum();
+        Ok(())
     }
 
     /// The raw (possibly fractional) weight of each task, in id order.
@@ -488,18 +486,7 @@ impl DagBuilder {
             .edges
             .iter()
             .all(|&(from, to)| level[to.index()] == level[from.index()] + 1);
-        // A weight table of all-exactly-1.0 entries is kept (so a dag
-        // file round-trip is lossless) but flagged unit, which keeps every
-        // executor on the unit-task fast paths.
-        let unit_weight = match &self.weights {
-            None => true,
-            Some(w) => w.iter().all(|&x| x == 1.0),
-        };
-        let weights = match self.weights {
-            None => None,
-            Some(w) => Some(Box::new(WeightProfile::new(w, &level, span as usize)?)),
-        };
-        Ok(ExplicitDag {
+        let mut dag = ExplicitDag {
             succ_off,
             succ_flat,
             in_degree: self.in_degree,
@@ -509,9 +496,16 @@ impl DagBuilder {
             sources,
             forest,
             unit_edges,
-            unit_weight,
-            weights,
-        })
+            unit_weight: true,
+            weights: None,
+        };
+        if let Some(weights) = self.weights {
+            // A weight table of all-exactly-1.0 entries is kept (so a dag
+            // file round-trip is lossless) but flagged unit, which keeps
+            // every executor on the unit-task fast paths.
+            dag.refill_weights(weights)?;
+        }
+        Ok(dag)
     }
 }
 
@@ -626,21 +620,61 @@ impl ExplicitDag {
     /// (replacing any existing one). The structure is untouched; only
     /// the cost tables and the unit-weight flag are recomputed. Rejects
     /// tables of the wrong length ([`DagError::WeightCount`]) or with
-    /// non-finite / non-positive entries ([`DagError::InvalidWeight`]).
+    /// non-finite / non-positive entries ([`DagError::InvalidWeight`]);
+    /// the owning form of [`ExplicitDag::refill_weights`].
     pub fn with_weights(mut self, weights: Vec<f64>) -> Result<Self, DagError> {
-        if weights.len() != self.num_tasks() {
+        self.refill_weights(weights)?;
+        Ok(self)
+    }
+
+    /// Replaces the weight table **in place** with one weight per task,
+    /// drawn from `weights` in id order, reusing the storage of the
+    /// current table and its derived cost tables. A dag without a table
+    /// gets one. Rejects [`DagError::WeightCount`] when the iterator's
+    /// length differs from the task count (checked before any weight is
+    /// drawn, so nothing changes), [`DagError::InvalidWeight`] for a
+    /// non-finite or non-positive weight and [`DagError::CostOverflow`]
+    /// when the work leaves `u64`. The unit-weight flag is recomputed,
+    /// so an all-1.0 draw runs the unit kernels. On an error after the
+    /// first draw the dag is left without a weight table (unit weight),
+    /// with its structure intact.
+    pub fn refill_weights<I>(&mut self, weights: I) -> Result<(), DagError>
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let weights = weights.into_iter();
+        let tasks = self.num_tasks();
+        if weights.len() != tasks {
             return Err(DagError::WeightCount {
                 weights: weights.len(),
-                tasks: self.num_tasks(),
+                tasks,
             });
         }
-        self.unit_weight = weights.iter().all(|&x| x == 1.0);
-        self.weights = Some(Box::new(WeightProfile::new(
-            weights,
-            &self.level,
-            self.level_sizes.len(),
-        )?));
-        Ok(self)
+        let profile = self.weights.get_or_insert_with(Box::default);
+        profile.weights.clear();
+        profile.weights.extend(weights);
+        let drawn = profile.weights.len();
+        let derived = if drawn != tasks {
+            // An iterator whose reported length was wrong.
+            Err(DagError::WeightCount {
+                weights: drawn,
+                tasks,
+            })
+        } else {
+            profile.derive(&self.level, self.level_sizes.len())
+        };
+        match derived {
+            Ok(()) => {
+                self.unit_weight = profile.weights.iter().all(|&x| x == 1.0);
+                Ok(())
+            }
+            Err(err) => {
+                self.weights = None;
+                self.unit_weight = true;
+                Err(err)
+            }
+        }
     }
 
     /// Returns this dag with every task weighted `w` — the uniform-cost
@@ -1173,6 +1207,61 @@ mod tests {
             d.with_weights(vec![1.0, -3.0, 1.0]),
             Err(DagError::InvalidWeight(TaskId(1)))
         );
+    }
+
+    #[test]
+    fn refill_weights_in_place_equals_with_weights() {
+        let d = chain(4);
+        let mut refilled = d.clone().with_weights(vec![2.5, 1.0, 7.0, 3.0]).unwrap();
+        let table = vec![1.5, 4.0, 2.0, 9.5];
+        refilled.refill_weights(table.iter().copied()).unwrap();
+        assert_eq!(refilled, d.clone().with_weights(table).unwrap());
+        // All-1.0 redraws flip the unit flag on, and back off.
+        refilled.refill_weights([1.0; 4]).unwrap();
+        assert!(refilled.is_unit_weight() && refilled.weight_profile().is_some());
+        assert_eq!(refilled, d.clone().with_weights(vec![1.0; 4]).unwrap());
+        refilled.refill_weights([1.0, 1.0, 2.0, 1.0]).unwrap();
+        assert!(!refilled.is_unit_weight());
+        assert_eq!(refilled.work(), 5);
+        // A dag without a table gets one.
+        let mut bare = d.clone();
+        bare.refill_weights([3.0; 4]).unwrap();
+        assert_eq!(bare, d.with_uniform_weight(3.0).unwrap());
+    }
+
+    #[test]
+    fn refill_weights_keeps_the_typed_errors() {
+        let weighted = chain(3).with_weights(vec![2.0, 3.0, 4.0]).unwrap();
+        // A wrong count is caught before anything is drawn or changed.
+        let mut d = weighted.clone();
+        let mut drawn = 0;
+        let err = d
+            .refill_weights([1.0, 2.0].into_iter().inspect(|_| drawn += 1))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DagError::WeightCount {
+                weights: 2,
+                tasks: 3
+            }
+        );
+        assert_eq!(err.to_string(), "weight table has 2 entries for 3 tasks");
+        assert_eq!(drawn, 0);
+        assert_eq!(d, weighted);
+        // Invalid weights and overflowing costs fail with the builder's
+        // errors and leave a structurally intact unit dag behind.
+        for (table, expected) in [
+            ([1.0, f64::NAN, 1.0], DagError::InvalidWeight(TaskId(1))),
+            ([1.0, 1.0, -2.0], DagError::InvalidWeight(TaskId(2))),
+            ([1e19, 1e19, 1.0], DagError::CostOverflow(TaskId(1))),
+            ([1e308, 1.0, 1.0], DagError::CostOverflow(TaskId(0))),
+        ] {
+            let mut d = weighted.clone();
+            assert_eq!(d.refill_weights(table), Err(expected.clone()));
+            assert!(d.weight_profile().is_none(), "{expected:?}");
+            assert!(d.is_unit_weight());
+            assert_eq!(d, chain(3));
+        }
     }
 
     #[test]

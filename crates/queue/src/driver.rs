@@ -68,7 +68,7 @@ pub struct OpenConfig {
 /// Returned by [`OpenConfig::validate`] so front ends (the CLI `open`
 /// subcommand) can report the problem instead of aborting the process;
 /// the drivers still fail fast via [`OpenConfig::assert_valid`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `processors == 0`: the machine has nothing to allocate.
     NoProcessors,
@@ -85,6 +85,23 @@ pub enum ConfigError {
     },
     /// `max_quanta == 0`: no quanta budget to run under.
     NoQuantaBudget,
+    /// A Poisson arrival process whose mean gap is not a finite positive
+    /// number of steps — an offered load so large that `ρ·P` overflows
+    /// leaves a gap of 0.
+    BadArrivalGap {
+        /// The configured mean inter-arrival gap in steps.
+        mean_gap: f64,
+    },
+    /// The expected arrival time of the last warmup or measured job,
+    /// `mean_gap × (warmup_jobs + measured_jobs)`, does not fit in `u64`
+    /// steps — an offered load so small that the run could never reach
+    /// its measurement target.
+    ArrivalHorizonOverflow {
+        /// The configured mean inter-arrival gap in steps.
+        mean_gap: f64,
+        /// Warmup plus measured arrivals.
+        jobs: u64,
+    },
     /// `groups == 0` in a hierarchical configuration: the top-level
     /// allocator needs at least one processor group.
     ZeroGroups,
@@ -117,6 +134,14 @@ impl std::fmt::Display for ConfigError {
                 "need at least one observation per batch ({measured_jobs} jobs < {batches} batches)"
             ),
             ConfigError::NoQuantaBudget => write!(f, "need a positive quanta budget"),
+            ConfigError::BadArrivalGap { mean_gap } => write!(
+                f,
+                "mean arrival gap must be finite and positive, got {mean_gap} steps"
+            ),
+            ConfigError::ArrivalHorizonOverflow { mean_gap, jobs } => write!(
+                f,
+                "{jobs} arrivals at a mean gap of {mean_gap:e} steps overrun the u64 step clock"
+            ),
             ConfigError::ZeroGroups => write!(f, "need at least one processor group"),
             ConfigError::BadReallocEpoch => {
                 write!(f, "need a positive reallocation epoch")
@@ -138,7 +163,10 @@ impl std::error::Error for ConfigError {}
 
 impl OpenConfig {
     /// Checks internal consistency (the engine checks `quantum_len`),
-    /// reporting the first violation as a typed [`ConfigError`].
+    /// reporting the first violation as a typed [`ConfigError`]. A
+    /// Poisson arrival process must have a finite positive mean gap,
+    /// and the `warmup_jobs + measured_jobs` arrivals it must deliver
+    /// must fit in `u64` steps at that gap.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.processors == 0 {
             return Err(ConfigError::NoProcessors);
@@ -157,6 +185,18 @@ impl OpenConfig {
         }
         if self.max_quanta == 0 {
             return Err(ConfigError::NoQuantaBudget);
+        }
+        if let ArrivalProcess::Poisson { mean_gap } = self.arrivals {
+            if !(mean_gap.is_finite() && mean_gap > 0.0) {
+                return Err(ConfigError::BadArrivalGap { mean_gap });
+            }
+            // Arrival times are f64 clocks cast to u64 steps, and the
+            // cast saturates: the run must be able to reach its last
+            // measured arrival without that happening.
+            let jobs = self.warmup_jobs.saturating_add(self.measured_jobs);
+            if mean_gap * jobs as f64 >= u64::MAX as f64 {
+                return Err(ConfigError::ArrivalHorizonOverflow { mean_gap, jobs });
+            }
         }
         Ok(())
     }
@@ -257,18 +297,24 @@ impl OpenOutcome {
 /// two-level setup.
 ///
 /// The factory's second argument is an executor **recycled** from an
-/// earlier completed job, if one is pooled: homogeneous workloads can
-/// [`try_reset`](JobExecutor::try_reset) and return it, making the
-/// steady-state loop allocation-free per arrival; heterogeneous
-/// workloads simply drop it and build afresh. Either choice must yield
-/// an executor observationally equal to a newly constructed one — the
-/// recycled path is a pure allocation-lifetime optimisation and the
-/// simulated outcome is identical.
+/// earlier completed job, if one is pooled. The driver is generic over
+/// the executor type `X`, so the factory gets back exactly the type it
+/// built: homogeneous workloads can
+/// [`try_reset`](JobExecutor::try_reset) and return it, workloads of
+/// one concrete executor type can rebuild its job in place (workflow
+/// arrivals redraw their weights, see
+/// `abg_sched::DagExecutor::reset_with`), and heterogeneous workloads
+/// over `Box<dyn JobExecutor + Send>` simply drop it and build afresh.
+/// A closure typed over the boxed trait object infers that as `X`.
+/// Either choice must yield an executor observationally equal to a
+/// newly constructed one — the recycled path is a pure
+/// allocation-lifetime optimisation and the simulated outcome is
+/// identical.
 ///
 /// # Panics
 ///
 /// Panics on an inconsistent configuration (see [`OpenConfig`]).
-pub fn run_open_system<A, E, C>(
+pub fn run_open_system<X, A, E, C>(
     cfg: &OpenConfig,
     allocator: A,
     make_executor: E,
@@ -276,7 +322,8 @@ pub fn run_open_system<A, E, C>(
 ) -> OpenOutcome
 where
     A: Allocator,
-    E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+    X: JobExecutor + Send,
+    E: FnMut(&mut StdRng, Option<X>) -> X,
     C: FnMut() -> Box<dyn RequestCalculator + Send>,
 {
     run_open_system_probed(cfg, allocator, make_executor, make_calculator, NullProbe).0
@@ -298,7 +345,7 @@ where
 /// # Panics
 ///
 /// Panics on an inconsistent configuration (see [`OpenConfig`]).
-pub fn run_open_system_probed<A, E, C, P>(
+pub fn run_open_system_probed<X, A, E, C, P>(
     cfg: &OpenConfig,
     allocator: A,
     mut make_executor: E,
@@ -307,7 +354,8 @@ pub fn run_open_system_probed<A, E, C, P>(
 ) -> (OpenOutcome, P)
 where
     A: Allocator,
-    E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+    X: JobExecutor + Send,
+    E: FnMut(&mut StdRng, Option<X>) -> X,
     C: FnMut() -> Box<dyn RequestCalculator + Send>,
     P: Probe,
 {
@@ -378,7 +426,7 @@ mod tests {
         let recycled = run_open_system(
             &cfg,
             DynamicEquiPartition::new(cfg.processors),
-            |_rng, recycled| {
+            |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
                 if let Some(mut ex) = recycled {
                     if ex.try_reset() {
                         reused += 1;
@@ -476,6 +524,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "mean arrival gap must be finite and positive")]
+    fn unsimulable_arrival_gap_fails_fast_in_the_driver() {
+        // The driver stops at `assert_valid` with the typed message,
+        // before the arrival stream's own assert could fire.
+        let mut cfg = config(0.3);
+        cfg.arrivals = ArrivalProcess::Poisson { mean_gap: 0.0 };
+        let _ = run(&cfg);
+    }
+
+    #[test]
     #[should_panic(expected = "one observation per batch")]
     fn too_few_measured_jobs_for_batches_rejected() {
         let mut cfg = config(0.3);
@@ -490,7 +548,7 @@ mod tests {
         assert_eq!(base.validate(), Ok(()));
 
         type Mutate<'a> = &'a dyn Fn(&mut OpenConfig);
-        let cases: [(Mutate, ConfigError, &str); 5] = [
+        let cases: [(Mutate, ConfigError, &str); 8] = [
             (
                 &|c| c.processors = 0,
                 ConfigError::NoProcessors,
@@ -521,6 +579,31 @@ mod tests {
                 &|c| c.max_quanta = 0,
                 ConfigError::NoQuantaBudget,
                 "need a positive quanta budget",
+            ),
+            (
+                &|c| c.arrivals = ArrivalProcess::Poisson { mean_gap: 0.0 },
+                ConfigError::BadArrivalGap { mean_gap: 0.0 },
+                "mean arrival gap must be finite and positive, got 0 steps",
+            ),
+            (
+                &|c| {
+                    c.arrivals = ArrivalProcess::Poisson {
+                        mean_gap: f64::INFINITY,
+                    }
+                },
+                ConfigError::BadArrivalGap {
+                    mean_gap: f64::INFINITY,
+                },
+                "mean arrival gap must be finite and positive, got inf steps",
+            ),
+            (
+                // 250 arrivals 1e17 steps apart reach 2.5e19 > 2^64.
+                &|c| c.arrivals = ArrivalProcess::Poisson { mean_gap: 1e17 },
+                ConfigError::ArrivalHorizonOverflow {
+                    mean_gap: 1e17,
+                    jobs: 250,
+                },
+                "250 arrivals at a mean gap of 1e17 steps overrun the u64 step clock",
             ),
         ];
         for (mutate, expected, message) in cases {

@@ -160,17 +160,22 @@ enum GroupStatus {
 /// unbounded epoch; the hierarchical driver runs one per processor
 /// group over the router-replay source, pausing each at every epoch
 /// edge so the top level can resize it.
-pub(crate) struct GroupSim<A: Allocator, S, P: Probe = NullProbe> {
+///
+/// The simulation is generic over its executor type `X`: a factory
+/// returning `Box<dyn JobExecutor + Send>` runs a heterogeneous
+/// population, and a factory over one concrete type gets back drained
+/// executors of that type to reuse in place.
+pub(crate) struct GroupSim<X, A: Allocator, S, P: Probe = NullProbe> {
     /// Current capacity (processors owned by this group).
     processors: u32,
-    engine: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
+    engine: QuantumCore<X, Box<dyn RequestCalculator + Send>, A, P>,
     detector: SaturationDetector,
     arrivals: S,
     /// Measured arrivals admitted here that have not completed yet.
     outstanding: u64,
     /// Executors handed back when their jobs drained, offered to the
     /// factory one per admission (LIFO — the hottest buffers first).
-    pool: Vec<Box<dyn JobExecutor + Send>>,
+    pool: Vec<X>,
     done: Vec<CompletedJob>,
     next_global: u64,
     next_time: u64,
@@ -189,7 +194,7 @@ pub(crate) struct GroupSim<A: Allocator, S, P: Probe = NullProbe> {
     accounted_work: u64,
 }
 
-impl<A: Allocator, S: ArrivalSource, P: Probe> GroupSim<A, S, P> {
+impl<X: JobExecutor, A: Allocator, S: ArrivalSource, P: Probe> GroupSim<X, A, S, P> {
     /// A fresh simulation owning `processors` processors, expecting
     /// `assigned` measured arrivals from `arrivals`. A group with no
     /// measured arrivals routed to it starts (and stays) finished — it
@@ -272,7 +277,7 @@ impl<A: Allocator, S: ArrivalSource, P: Probe> GroupSim<A, S, P> {
         make_executor: &mut E,
         make_calculator: &mut C,
     ) where
-        E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+        E: FnMut(&mut StdRng, Option<X>) -> X,
         C: FnMut() -> Box<dyn RequestCalculator + Send>,
     {
         if self.status != GroupStatus::Running {
@@ -559,10 +564,11 @@ pub(crate) fn merge_reports(open: &OpenConfig, reports: &[GroupReport]) -> OpenO
 /// Advances every group on a scoped-thread pool (static chunk
 /// partition — groups are independent, so the schedule can never show
 /// through) and returns once all of them have paused at the barrier.
-fn advance_groups<A, F>(sims: &mut [GroupSim<A, RouterReplay>], threads: usize, advance: F)
+fn advance_groups<X, A, F>(sims: &mut [GroupSim<X, A, RouterReplay>], threads: usize, advance: F)
 where
+    X: JobExecutor + Send,
     A: Allocator + Send,
-    F: Fn(&mut GroupSim<A, RouterReplay>) + Sync,
+    F: Fn(&mut GroupSim<X, A, RouterReplay>) + Sync,
 {
     let n = sims.len();
     let threads = threads.clamp(1, n.max(1));
@@ -603,7 +609,7 @@ where
 /// Panics on an inconsistent configuration (see
 /// [`HierOpenConfig::validate`]) or a policy that violates the
 /// partition invariants (wrong length, sum ≠ P, below the floor).
-pub fn run_open_hierarchical<A, FA, E, C, G>(
+pub fn run_open_hierarchical<X, A, FA, E, C, G>(
     cfg: &HierOpenConfig,
     make_allocator: FA,
     make_executor: E,
@@ -613,7 +619,8 @@ pub fn run_open_hierarchical<A, FA, E, C, G>(
 where
     A: Allocator + Send,
     FA: Fn(u32) -> A + Sync,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
+    X: JobExecutor + Send,
+    E: Fn(&mut StdRng, Option<X>) -> X + Sync,
     C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
     G: GroupAllocator,
 {
@@ -637,7 +644,7 @@ where
 /// Panics on an inconsistent configuration (see
 /// [`HierOpenConfig::validate`]) or a policy that violates the
 /// partition invariants (wrong length, sum ≠ P, below the floor).
-pub fn run_open_hierarchical_with_threads<A, FA, E, C, G>(
+pub fn run_open_hierarchical_with_threads<X, A, FA, E, C, G>(
     cfg: &HierOpenConfig,
     make_allocator: FA,
     make_executor: E,
@@ -648,7 +655,8 @@ pub fn run_open_hierarchical_with_threads<A, FA, E, C, G>(
 where
     A: Allocator + Send,
     FA: Fn(u32) -> A + Sync,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
+    X: JobExecutor + Send,
+    E: Fn(&mut StdRng, Option<X>) -> X + Sync,
     C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
     G: GroupAllocator,
 {
@@ -672,7 +680,7 @@ where
 /// Panics on an inconsistent configuration (see
 /// [`HierOpenConfig::validate`]) or a policy that violates the
 /// partition invariants (wrong length, sum ≠ P, below the floor).
-pub fn run_open_hierarchical_detailed<A, FA, E, C, G>(
+pub fn run_open_hierarchical_detailed<X, A, FA, E, C, G>(
     cfg: &HierOpenConfig,
     make_allocator: FA,
     make_executor: E,
@@ -683,7 +691,8 @@ pub fn run_open_hierarchical_detailed<A, FA, E, C, G>(
 where
     A: Allocator + Send,
     FA: Fn(u32) -> A + Sync,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
+    X: JobExecutor + Send,
+    E: Fn(&mut StdRng, Option<X>) -> X + Sync,
     C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
     G: GroupAllocator,
 {
@@ -713,7 +722,7 @@ where
 
     let processors = cfg.open.processors;
     let mut caps = equi_partition(processors, cfg.groups);
-    let mut sims: Vec<GroupSim<A, RouterReplay>> = (0..cfg.groups)
+    let mut sims: Vec<GroupSim<X, A, RouterReplay>> = (0..cfg.groups)
         .zip(&caps)
         .map(|(k, &cap)| {
             GroupSim::new(

@@ -16,13 +16,21 @@
 //! Like [`abg_sched::ReferenceExecutor`], it is always compiled and
 //! public, but it exists as an oracle and a baseline: production runs
 //! use [`run_open_system`](crate::run_open_system).
+//!
+//! The oracle stays literal about idle jobs too. The quantum core
+//! replays a starved job whose executor certifies its zero-allotment
+//! quanta through [`JobExecutor::steady_quanta`] (see
+//! [`QuantumCore`]'s module documentation); this driver hands the core
+//! every executor behind a private forwarding wrapper that keeps the
+//! trait's default `steady_quanta` of 0, so the core certifies nothing
+//! and steps every live job, idle or not, every quantum.
 
 use crate::driver::{OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
 use crate::saturation::{SaturationDetector, SaturationReason};
 use crate::stats::{batch_means, percentiles};
 use abg_alloc::Allocator;
 use abg_control::RequestCalculator;
-use abg_sched::JobExecutor;
+use abg_sched::{JobExecutor, QuantumStats};
 use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +52,7 @@ impl ReferenceOpenDriver {
     /// [`OpenConfig::validate`]).
     ///
     /// [`run_open_system`]: crate::run_open_system
-    pub fn run<A, E, C>(
+    pub fn run<X, A, E, C>(
         cfg: &OpenConfig,
         allocator: A,
         make_executor: E,
@@ -52,7 +60,8 @@ impl ReferenceOpenDriver {
     ) -> OpenOutcome
     where
         A: Allocator,
-        E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+        X: JobExecutor,
+        E: FnMut(&mut StdRng, Option<X>) -> X,
         C: FnMut() -> Box<dyn RequestCalculator + Send>,
     {
         Self::run_probed(cfg, allocator, make_executor, make_calculator, NullProbe).0
@@ -67,7 +76,7 @@ impl ReferenceOpenDriver {
     /// [`OpenConfig::validate`]).
     ///
     /// [`run_open_system_probed`]: crate::run_open_system_probed
-    pub fn run_probed<A, E, C, P>(
+    pub fn run_probed<X, A, E, C, P>(
         cfg: &OpenConfig,
         allocator: A,
         mut make_executor: E,
@@ -76,7 +85,8 @@ impl ReferenceOpenDriver {
     ) -> (OpenOutcome, P)
     where
         A: Allocator,
-        E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+        X: JobExecutor,
+        E: FnMut(&mut StdRng, Option<X>) -> X,
         C: FnMut() -> Box<dyn RequestCalculator + Send>,
         P: Probe,
     {
@@ -96,11 +106,12 @@ impl ReferenceOpenDriver {
         let mut next_arrival = stream.next_arrival(&mut rng);
         let mut completed_work = 0u64;
         let mut done: Vec<CompletedJob> = Vec::new();
-        let mut pool: Vec<Box<dyn JobExecutor + Send>> = Vec::new();
+        let mut pool: Vec<X> = Vec::new();
+        let mut reclaimed: Vec<Literal<X>> = Vec::new();
 
         let outcome = loop {
             while next_arrival <= engine.now() {
-                let executor = make_executor(&mut rng, pool.pop());
+                let executor = Literal(make_executor(&mut rng, pool.pop()));
                 engine.admit(executor, make_calculator(), next_arrival);
                 arrivals += 1;
                 next_arrival = stream.next_arrival(&mut rng);
@@ -111,7 +122,8 @@ impl ReferenceOpenDriver {
             }
 
             done.clear();
-            engine.step_quantum_reclaiming(&mut done, &mut pool);
+            engine.step_quantum_reclaiming(&mut done, &mut reclaimed);
+            pool.extend(reclaimed.drain(..).map(|literal| literal.0));
             detector.record(engine.jobs_in_system());
 
             for job in &done {
@@ -166,6 +178,36 @@ impl ReferenceOpenDriver {
             }
         };
         (outcome, engine.into_probe())
+    }
+}
+
+/// An executor with every method forwarded except
+/// [`steady_quanta`](JobExecutor::steady_quanta), which keeps the
+/// trait's default of 0: the core never certifies a job as idle, so the
+/// oracle steps every live job every quantum.
+struct Literal<X>(X);
+
+impl<X: JobExecutor> JobExecutor for Literal<X> {
+    fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
+        self.0.run_quantum(allotment, steps)
+    }
+    fn is_complete(&self) -> bool {
+        self.0.is_complete()
+    }
+    fn total_work(&self) -> u64 {
+        self.0.total_work()
+    }
+    fn total_span(&self) -> u64 {
+        self.0.total_span()
+    }
+    fn completed_work(&self) -> u64 {
+        self.0.completed_work()
+    }
+    fn elapsed_steps(&self) -> u64 {
+        self.0.elapsed_steps()
+    }
+    fn try_reset(&mut self) -> bool {
+        self.0.try_reset()
     }
 }
 

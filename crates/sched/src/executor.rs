@@ -4,7 +4,7 @@ use crate::quantum::QuantumStats;
 use crate::queue::{BreadthFirstQueue, FifoQueue, LifoQueue, ReadyQueue};
 use crate::JobExecutor;
 use abg_dag::{ExplicitDag, TaskId};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, BorrowMut};
 
 /// Executes an [`ExplicitDag`] one time step at a time, popping up to
 /// `a(q)` ready tasks per step from a [`ReadyQueue`] `Q` that encodes the
@@ -91,8 +91,12 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
     /// freshly constructed executor (enforced by the equivalence suite).
     pub fn reset(&mut self) {
         let dag = self.dag.borrow();
-        self.remaining_preds.copy_from_slice(dag.in_degrees());
-        self.completed_per_level.fill(0);
+        // Sized from the dag, not from the old buffers, so a dag edited
+        // through `reset_with` may have any shape.
+        self.remaining_preds.clear();
+        self.remaining_preds.extend_from_slice(dag.in_degrees());
+        self.completed_per_level.clear();
+        self.completed_per_level.resize(dag.span() as usize, 0);
         self.completed = 0;
         self.worked = 0;
         self.elapsed = 0;
@@ -233,6 +237,19 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
             span,
             completed: finished,
         }
+    }
+}
+
+impl<D: BorrowMut<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
+    /// Lets `edit` change the owned dag in place, then
+    /// [`reset`](DagExecutor::reset)s the executor onto it — the one way
+    /// to mutate the dag under an executor, so the run state can never
+    /// outlive the dag it was built for. Open-system drivers recycle a
+    /// drained workflow executor this way: `edit` redraws the weights
+    /// of the same structure, and the reset reuses every buffer.
+    pub fn reset_with(&mut self, edit: impl FnOnce(&mut ExplicitDag)) {
+        edit(self.dag.borrow_mut());
+        self.reset();
     }
 }
 
@@ -524,6 +541,18 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
         self.reset();
         true
     }
+
+    /// Certifies zero allotments only: a quantum without processors runs
+    /// nothing and changes nothing, so until the allotment changes every
+    /// further one repeats the all-zero record (`u64::MAX` while the job
+    /// is not complete). Positive allotments get the always-correct 0.
+    fn steady_quanta(&self, allotment: u32, steps: u64, stats: &QuantumStats) -> u64 {
+        if allotment == 0 && steps > 0 && !stats.completed && !self.is_complete() {
+            u64::MAX
+        } else {
+            0
+        }
+    }
 }
 
 #[cfg(test)]
@@ -787,6 +816,50 @@ mod tests {
         let first = run(&mut ex);
         assert!(ex.try_reset());
         assert_eq!(first, run(&mut ex), "weighted reset run diverged");
+    }
+
+    #[test]
+    fn zero_allotments_are_certified_no_ops_until_completion() {
+        for d in [figure2_job(), weighted_chain()] {
+            let mut ex = DagExecutor::<_, BreadthFirstQueue>::new(&d);
+            let idle = ex.run_quantum(0, 5);
+            assert!(idle.is_idle(5));
+            assert_eq!(ex.steady_quanta(0, 5, &idle), u64::MAX);
+            // Positive allotments keep the always-correct 0.
+            let busy = ex.run_quantum(1, 1);
+            assert_eq!(ex.steady_quanta(1, 1, &busy), 0);
+            // Idle quanta change nothing, however many run.
+            let before = (ex.completed_work(), ex.elapsed_steps(), ex.ready_tasks());
+            for _ in 0..3 {
+                assert!(ex.run_quantum(0, 5).is_idle(5));
+            }
+            assert_eq!(
+                (ex.completed_work(), ex.elapsed_steps(), ex.ready_tasks()),
+                before
+            );
+            while !ex.is_complete() {
+                ex.run_quantum(4, 8);
+            }
+            let done = ex.run_quantum(0, 5);
+            assert_eq!(ex.steady_quanta(0, 5, &done), 0, "a complete job");
+        }
+    }
+
+    #[test]
+    fn reset_with_rewinds_onto_an_edited_dag() {
+        let mut ex = OwnedBGreedyExecutor::new(chain(3));
+        ex.run_quantum(1, 2);
+        // Any edit, even one that changes the shape, leaves a fresh
+        // executor over the new dag.
+        ex.reset_with(|dag| *dag = fork_join_diamond(4));
+        let mut fresh = OwnedBGreedyExecutor::new(fork_join_diamond(4));
+        assert_eq!(ex.completed_work(), 0);
+        assert_eq!(ex.ready_tasks(), fresh.ready_tasks());
+        while !fresh.is_complete() {
+            let (a, b) = (ex.run_quantum(2, 1), fresh.run_quantum(2, 1));
+            assert_eq!(a, b);
+        }
+        assert!(ex.is_complete());
     }
 
     #[test]

@@ -95,6 +95,17 @@ pub trait JobExecutor {
     /// calls, each of which would have returned `stats`. The default of
     /// `0` (no lookahead) is always correct and keeps the engine on the
     /// quantum-by-quantum path for executors without an analysis.
+    ///
+    /// **Zero allotments.** When `allotment == 0` and `stats` is the
+    /// [`QuantumStats::idle`] record, a positive answer also certifies
+    /// that those quanta are no-ops on the executor: calling
+    /// `run_quantum(0, steps)` up to `m` times, or not at all, leaves the
+    /// same state. The quantum core relies on this to *replay* a starved
+    /// job (see `abg_sim::QuantumCore`): while its allotment stays 0 at
+    /// the same length, it repeats the idle record itself and calls
+    /// neither the executor nor the controller. Executors whose
+    /// zero-allotment quanta change state (a clock, a counter) must
+    /// answer 0 there.
     fn steady_quanta(&self, allotment: u32, steps: u64, stats: &QuantumStats) -> u64 {
         let _ = (allotment, steps, stats);
         0

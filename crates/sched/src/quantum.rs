@@ -25,6 +25,32 @@ pub struct QuantumStats {
 }
 
 impl QuantumStats {
+    /// The record of a `quantum_len`-step quantum at allotment 0, in
+    /// which nothing ran: no work, a `+0.0` span, not completed.
+    #[inline]
+    pub fn idle(quantum_len: u64) -> Self {
+        QuantumStats {
+            allotment: 0,
+            quantum_len,
+            steps_worked: 0,
+            work: 0,
+            span: 0.0,
+            completed: false,
+        }
+    }
+
+    /// Whether this is, bit for bit, the [`idle`](QuantumStats::idle)
+    /// record of a `quantum_len`-step quantum (a `-0.0` span is not).
+    #[inline]
+    pub fn is_idle(&self, quantum_len: u64) -> bool {
+        self.allotment == 0
+            && self.quantum_len == quantum_len
+            && self.steps_worked == 0
+            && self.work == 0
+            && self.span.to_bits() == 0
+            && !self.completed
+    }
+
     /// Whether this was a *full* quantum: work was done on every time
     /// step of the quantum (Section 5.1). All quanta of a live job with a
     /// positive allotment are full except possibly the last.

@@ -36,6 +36,24 @@
 //! steps off the front (held cycles count as waste). Each quantum runs
 //! at the *minimum* length any live controller asks for, so paced and
 //! fixed-quantum jobs can share a machine.
+//!
+//! **Idle replay.** On a crowded machine most live jobs get allotment
+//! 0 in most quanta, and such a quantum changes nothing: the executor
+//! runs no task and the controller holds its request. After a real
+//! quantum at allotment 0 without reallocation overhead, the core asks
+//! the controller ([`Controller::supports_frozen_stepping`] and
+//! [`Controller::is_steady`] on the [`QuantumStats::idle`] record) and
+//! the executor ([`JobExecutor::steady_quanta`]`(0, len, ..)`, whose
+//! zero-allotment answer certifies the quanta as no-ops) and caches a
+//! positive answer in the slot as a count plus the quantum length.
+//! While the job keeps getting allotment 0 at that length, the core
+//! repeats the idle record itself — quanta count, waste, probe hooks
+//! and cached statistics — and calls neither `run_quantum`, `observe`
+//! nor `next_quantum_len`. A positive allotment, a different length or
+//! a frozen window drops the certificate. The observables are
+//! bit-identical to stepping every job; `abg_queue::ReferenceOpenDriver`
+//! withholds the certificate, steps every job every quantum, and the
+//! differential tests compare the two.
 
 use crate::trace::QuantumRecord;
 use abg_alloc::{ceil_request, AllocationStability, Allocator};
@@ -67,6 +85,12 @@ struct Slot<E, C> {
     quanta: u64,
     reallocations: u64,
     prev_allotment: Option<u32>,
+    /// Idle-replay certificate: while `idle_len > 0`, the next
+    /// `idle_left` quanta of `idle_len` steps at allotment 0 are known to
+    /// repeat the [`QuantumStats::idle`] record with no effect on the
+    /// executor or the controller. `idle_len == 0` means no certificate.
+    idle_left: u64,
+    idle_len: u64,
     prev: usize,
     next: usize,
 }
@@ -264,6 +288,8 @@ where
             quanta: 0,
             reallocations: 0,
             prev_allotment: None,
+            idle_left: 0,
+            idle_len: 0,
             prev: NIL,
             next: NIL,
         };
@@ -516,26 +542,25 @@ where
         let now = self.now;
         // The live scratch mirrors the intrusive list — admission order,
         // the order the frozen-window cache keys its parallel arrays on.
+        // The same walk gathers the requests and the quantum length: the
+        // quantum runs at the shortest length any live controller asks
+        // for; fixed-quantum controllers all ask for the default, so
+        // homogeneous sets step on the configured grid.
         self.live.clear();
+        self.requests.clear();
+        let mut len = u64::MAX;
         let mut walk = self.live_head;
         while walk != NIL {
+            let slot = self.slots[walk].as_ref().expect("freed slab slot");
             self.live.push(walk);
-            walk = self.slots[walk].as_ref().expect("freed slab slot").next;
+            len = len.min(slot.next_len);
+            self.requests.push(slot.request);
+            walk = slot.next;
         }
         assert!(
             !self.live.is_empty(),
             "step_quantum with no live jobs (use skip_idle_until)"
         );
-        // The quantum runs at the shortest length any live controller
-        // asks for; fixed-quantum controllers all ask for the default,
-        // so homogeneous sets step on the configured grid.
-        let mut len = u64::MAX;
-        self.requests.clear();
-        for k in 0..self.live.len() {
-            let slot = self.slots[self.live[k]].as_ref().expect("freed slab slot");
-            len = len.min(slot.next_len);
-            self.requests.push(slot.request);
-        }
         self.probe.on_quantum_start(now, len, self.live.len());
         let want_avail = self.record_availability || self.probe.wants_availability();
         let have_avail = want_avail
@@ -557,6 +582,28 @@ where
                 None
             };
             let job = self.slots[i].as_mut().expect("freed slab slot");
+            if allotment == 0 && job.idle_len == len && job.idle_left > 0 {
+                // Idle replay: a certified starved job repeats the idle
+                // record without touching its executor or controller.
+                // Its allotment was already 0, so no overhead is due.
+                job.idle_left -= 1;
+                job.quanta += 1;
+                self.probe
+                    .on_grant(job.id, job.request, allotment, availability);
+                let stats = QuantumStats::idle(len);
+                let record = QuantumRecord {
+                    index: job.quanta as u32,
+                    start_step: now,
+                    request: job.request,
+                    allotment,
+                    availability,
+                    stats,
+                };
+                self.probe.on_quantum_end(job.id, &record);
+                self.last_stats.push(stats);
+                continue;
+            }
+            job.idle_len = 0;
             // A changed allotment burns the first `reallocation_overhead`
             // steps of the quantum before any task runs.
             let overhead = if job.prev_allotment.is_some_and(|p| p != allotment) {
@@ -588,6 +635,20 @@ where
             self.probe.on_quantum_end(job.id, &record);
             job.request = job.controller.observe(&stats);
             job.next_len = job.controller.next_quantum_len(self.default_len);
+            if overhead == 0
+                && stats.is_idle(len)
+                && job.controller.supports_frozen_stepping()
+                && job.controller.is_steady(&stats)
+            {
+                // A starved job whose controller holds its request on
+                // the idle record and whose executor certifies the idle
+                // quanta as no-ops: replay it from the next quantum on.
+                let certified = job.executor.steady_quanta(0, len, &stats);
+                if certified > 0 {
+                    job.idle_left = certified;
+                    job.idle_len = len;
+                }
+            }
             self.last_stats.push(stats);
         }
         // Drain the finished slots only — collected in live-list order,
@@ -803,6 +864,9 @@ where
             job.executor.run_quantum(self.allotments[idx], k * len);
             job.quanta += k;
             job.waste += k * self.last_stats[idx].waste();
+            // The window consumed an unknown share of any idle
+            // certificate; the next real quantum re-derives it.
+            job.idle_len = 0;
         }
         self.now += k * len;
         self.quanta += k;
@@ -1093,6 +1157,173 @@ mod tests {
         }
         assert_eq!(done[1].completion, 80);
         assert_eq!(done[1].response_time(), 25);
+    }
+
+    /// Grants requests in admission order until the machine runs out,
+    /// so the youngest jobs sit at allotment 0 quantum after quantum.
+    struct FirstCome(u32);
+
+    impl abg_alloc::Allocator for FirstCome {
+        fn allocate_into(&mut self, requests: &[f64], out: &mut Vec<u32>) {
+            out.clear();
+            let mut left = self.0;
+            for &r in requests {
+                let a = ceil_request(r).min(left);
+                left -= a;
+                out.push(a);
+            }
+        }
+        fn try_availabilities(&mut self, requests: &[f64], out: &mut Vec<u32>) -> bool {
+            out.clear();
+            let mut left = self.0;
+            for &r in requests {
+                out.push(left);
+                left -= ceil_request(r).min(left);
+            }
+            true
+        }
+        fn total_processors(&self) -> u32 {
+            self.0
+        }
+        fn name(&self) -> &'static str {
+            "first-come"
+        }
+    }
+
+    /// An executor with its idle certificate withheld: every method
+    /// forwards except `steady_quanta`, which keeps the default 0.
+    struct Uncertified<E>(E);
+
+    impl<E: JobExecutor> JobExecutor for Uncertified<E> {
+        fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
+            self.0.run_quantum(allotment, steps)
+        }
+        fn is_complete(&self) -> bool {
+            self.0.is_complete()
+        }
+        fn total_work(&self) -> u64 {
+            self.0.total_work()
+        }
+        fn total_span(&self) -> u64 {
+            self.0.total_span()
+        }
+        fn completed_work(&self) -> u64 {
+            self.0.completed_work()
+        }
+        fn elapsed_steps(&self) -> u64 {
+            self.0.elapsed_steps()
+        }
+    }
+
+    /// ABG behind an observe counter, optionally never steady.
+    struct Counted {
+        inner: abg_control::AControl,
+        steady: bool,
+        observed: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl Controller for Counted {
+        fn observe(&mut self, stats: &QuantumStats) -> f64 {
+            self.observed.set(self.observed.get() + 1);
+            self.inner.observe(stats)
+        }
+        fn current_request(&self) -> f64 {
+            self.inner.current_request()
+        }
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+        fn supports_frozen_stepping(&self) -> bool {
+            self.inner.supports_frozen_stepping()
+        }
+        fn is_steady(&self, stats: &QuantumStats) -> bool {
+            self.steady && self.inner.is_steady(stats)
+        }
+    }
+
+    /// What a crowded run leaves: the drained jobs, the retained traces
+    /// (availabilities included) and the number of observe calls.
+    type CrowdedRun = (Vec<CompletedJob>, Vec<(u64, Vec<QuantumRecord>)>, u64);
+
+    /// Six weighted and unit dag jobs on a 3-processor first-come
+    /// machine, run to completion.
+    fn crowded_run<E: JobExecutor>(
+        wrap: impl Fn(abg_sched::OwnedBGreedyExecutor) -> E,
+        steady: bool,
+    ) -> CrowdedRun {
+        use abg_dag::generate::{chain, fork_join_diamond};
+        let observed = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut core = QuantumCore::new(
+            FirstCome(3),
+            10,
+            TraceProbe::new().retaining().with_availability(),
+        );
+        for k in 0..6u32 {
+            let dag = if k % 2 == 0 {
+                fork_join_diamond(4 + k).with_uniform_weight(20.0).unwrap()
+            } else {
+                chain(200 + 10 * k)
+            };
+            core.admit(
+                wrap(abg_sched::OwnedBGreedyExecutor::new(dag)),
+                Counted {
+                    inner: abg_control::AControl::new(0.2),
+                    steady,
+                    observed: observed.clone(),
+                },
+                (k as u64) * 7,
+            );
+        }
+        let mut done = Vec::new();
+        while core.jobs_in_system() > 0 {
+            if core.any_live() {
+                core.step_quantum(&mut done);
+            } else {
+                let next = core.next_release().expect("pending job");
+                core.skip_idle_until(next);
+            }
+        }
+        let traces = core.into_probe().into_completed_traces();
+        (done, traces, observed.get())
+    }
+
+    fn job_bits(done: &[CompletedJob]) -> Vec<(u64, u64, u64, u64, u64)> {
+        done.iter()
+            .map(|c| (c.id, c.completion, c.waste, c.quanta, c.reallocations))
+            .collect()
+    }
+
+    #[test]
+    fn idle_replay_matches_stepping_every_job() {
+        let (replayed, replayed_traces, replayed_observes) = crowded_run(|ex| ex, true);
+        let (stepped, stepped_traces, stepped_observes) = crowded_run(Uncertified, true);
+        assert_eq!(job_bits(&replayed), job_bits(&stepped));
+        assert_eq!(replayed_traces, stepped_traces);
+        let job_quanta: u64 = stepped.iter().map(|c| c.quanta).sum();
+        assert_eq!(stepped_observes, job_quanta, "no certificate, no replay");
+        assert!(
+            replayed_observes < job_quanta,
+            "idle replay never engaged: {replayed_observes} of {job_quanta} observed"
+        );
+        // Starved quanta are in the traces as idle records.
+        let idle = replayed_traces
+            .iter()
+            .flat_map(|(_, t)| t)
+            .filter(|r| r.stats.is_idle(10))
+            .count() as u64;
+        assert!(idle >= job_quanta - replayed_observes);
+    }
+
+    #[test]
+    fn controllers_not_steady_at_zero_allotment_are_observed_every_quantum() {
+        // The executors certify their idle quanta, but the controllers
+        // never call themselves steady: no job may skip an observe.
+        let (done, traces, observes) = crowded_run(|ex| ex, false);
+        let job_quanta: u64 = done.iter().map(|c| c.quanta).sum();
+        assert_eq!(observes, job_quanta);
+        let (replayed, replayed_traces, _) = crowded_run(|ex| ex, true);
+        assert_eq!(job_bits(&done), job_bits(&replayed));
+        assert_eq!(traces, replayed_traces);
     }
 
     #[test]

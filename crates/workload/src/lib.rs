@@ -50,7 +50,7 @@ pub use dagfile::{load_dag, parse_dag, save_dag, write_dag, DagFileError};
 pub use jobset::{JobSet, JobSetSpec};
 pub use release::{
     expected_work, expected_work_of, mean_gap_for_utilization, splitmix_seed, ArrivalProcess,
-    ArrivalStream, ArrivalSubstream, ReleaseSchedule,
+    ArrivalStream, ReleaseSchedule,
 };
 pub use workflow::{WorkflowKind, WorkflowTemplate};
 

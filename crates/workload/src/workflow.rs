@@ -135,17 +135,42 @@ impl WorkflowTemplate {
 
     /// Draws one instance: one half-integer weight per task, in id
     /// order, attached to a copy of the structure through
-    /// [`ExplicitDag::with_weights`] (which re-checks every weight).
+    /// [`ExplicitDag::refill_weights`] (which re-checks every weight).
     pub fn instantiate<R: Rng + ?Sized>(&self, rng: &mut R) -> ExplicitDag {
-        let weights = self
-            .half_units
+        let mut dag = self.structure.clone();
+        self.redraw(&mut dag, rng);
+        dag
+    }
+
+    /// Turns `dag`, an instance of this template, into a fresh one **in
+    /// place**: the draws [`instantiate`](WorkflowTemplate::instantiate)
+    /// makes, in the same id order, written over the old weight table
+    /// through [`ExplicitDag::refill_weights`] (which re-checks every
+    /// weight and recomputes the unit-weight flag). The result equals
+    /// what `instantiate` returns from the same RNG state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dag` has a different task count than the template.
+    pub fn redraw<R: Rng + ?Sized>(&self, dag: &mut ExplicitDag, rng: &mut R) {
+        debug_assert_eq!(
+            dag.in_degrees(),
+            self.structure.in_degrees(),
+            "redraw needs an instance of this template"
+        );
+        dag.refill_weights(self.draw(rng))
+            .expect("an instance of this template takes one half-integer weight per task");
+    }
+
+    /// One weight per task in id order, uniform over the task's
+    /// half-units.
+    fn draw<'a, R: Rng + ?Sized>(
+        &'a self,
+        rng: &'a mut R,
+    ) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.half_units
             .iter()
-            .map(|&(lo, hi)| rng.random_range(lo..=hi) as f64 * 0.5)
-            .collect();
-        self.structure
-            .clone()
-            .with_weights(weights)
-            .expect("half-integer weights are finite and positive")
+            .map(move |&(lo, hi)| rng.random_range(lo..=hi) as f64 * 0.5)
     }
 }
 
